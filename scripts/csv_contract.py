@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Print the behaviour-contract columns of all five experiments.
+
+Usage: python3 scripts/csv_contract.py > contract.txt
+
+Runs synth-gauss, synth-vectors, ortho and regress (logistic and poisson)
+through ``corebench.cli.main`` at small fixed shapes and one seed, and
+prints the columns ``trial,algorithm,M,rel_error,size`` of each, under a
+``# <arguments>`` line. Timing and the ``extra`` column are left out. A
+refactor keeps the contract when ``diff`` of this output from two checkouts
+is empty. The package is imported from this checkout's ``src/``.
+"""
+
+import csv
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from corebench.cli import main  # noqa: E402
+
+SEED = "7"
+RUNS = [
+    ["synth-gauss", "--trials", "200"],
+    ["synth-vectors", "--n", "2000", "--dim", "20", "--trials", "3", "--m-max", "500"],
+    ["ortho", "--n", "300", "--m-max", "300"],
+    ["regress", "--model", "logistic", "--n", "1000", "--trials", "2", "--m-max", "300"],
+    ["regress", "--model", "poisson", "--n", "1000", "--trials", "2", "--m-max", "300"],
+]
+COLUMNS = ("trial", "algorithm", "M", "rel_error", "size")
+
+
+def contract_rows(argv: list[str]) -> list[str]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv + ["--seed", SEED])
+    if code != 0:
+        raise SystemExit(f"corebench {' '.join(argv)} exited {code}")
+    rows = csv.DictReader(io.StringIO(buf.getvalue()))
+    return [",".join(row[c] for c in COLUMNS) for row in rows]
+
+
+if __name__ == "__main__":
+    for argv in RUNS:
+        print("# " + " ".join(argv))
+        print(",".join(COLUMNS))
+        for line in contract_rows(argv):
+            print(line)

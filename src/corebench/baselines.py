@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CoresetProblem, WeightVector, ZERO_TOL_COEFF
+from .hilbert import (
+    RENORM_INTERVAL,
+    ZERO_TOL_COEFF,
+    CoresetProblem,
+    GramColumns,
+    WeightVector,
+)
 
 METHODS = ("FW", "IS", "RND")
 
@@ -66,6 +72,16 @@ def fw_coreset(problem: CoresetProblem, M: int,
     to the lowest index) and steps with
     gamma = <v_{n_t} - L(w_t), L - L(w_t)> / ||v_{n_t} - L(w_t)||^2 clamped
     to [0, 1]. The iterate L(w_t) is cached and updated incrementally.
+
+    Since scale_n <V_n, L - L(w)> = sigma <ell_n, L - L(w)>, the scan is
+    argmax_n (||L|| unit_scores_n - proj_n) over the carried projections
+    proj = U @ L(w_t), which a step moves as
+    proj <- (1 - gamma) proj + gamma sigma U @ ell_{n_t} with a Gram column
+    from a ``GramColumns`` cache of at most d columns. When the column is
+    not available (the cache is full, or the step already did its one
+    product) and every RENORM_INTERVAL steps, the next scan recomputes proj
+    with one N x d product instead, so no step does more than one. The line search uses
+    direct row products, so the weights do not depend on the cache.
     """
     if M < 1:
         raise ValueError("iteration budget M must be >= 1")
@@ -81,12 +97,15 @@ def fw_coreset(problem: CoresetProblem, M: int,
     sigma = problem.sigma_total
     scale = sigma / problem.norms                    # vertex n is scale[n] * V[n]
     L = problem.target
+    target_scores = problem.target_norm * problem.unit_scores    # <ell_n, L>
+    columns = GramColumns(problem)
 
     t_start = time.process_time()
     w = np.zeros(problem.n)
-    n0 = int(np.argmax(problem.unit_vectors @ problem.unit_target))
+    n0 = int(np.argmax(problem.unit_scores))
     w[n0] = scale[n0]
     Lw = scale[n0] * V[n0]
+    proj = sigma * columns.column(n0)                # U @ L(w_t), None: recompute
     diag.selected.append(n0)
     diag.gammas.append(1.0)
     diag.errors.append(float(np.linalg.norm(Lw - L)))
@@ -100,8 +119,9 @@ def fw_coreset(problem: CoresetProblem, M: int,
 
     for t in range(1, M):
         resid = L - Lw
-        picks = (V @ resid) * scale
-        n_t = int(np.argmax(picks))
+        if proj is None:
+            proj = columns.project(Lw)
+        n_t = int(np.argmax(target_scores - proj))
         vertex = scale[n_t] * V[n_t]
         direction = vertex - Lw
         denom = float(direction @ direction)
@@ -112,6 +132,11 @@ def fw_coreset(problem: CoresetProblem, M: int,
         w *= 1.0 - gamma
         w[n_t] += gamma * scale[n_t]
         Lw = (1.0 - gamma) * Lw + gamma * vertex
+        col = columns.column(n_t)
+        if col is None or t % RENORM_INTERVAL == 0:
+            proj = None
+        else:
+            proj = proj * (1.0 - gamma) + col * (gamma * sigma)
         diag.selected.append(n_t)
         diag.gammas.append(gamma)
         diag.errors.append(float(np.linalg.norm(Lw - L)))

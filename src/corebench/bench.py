@@ -37,6 +37,7 @@ from . import baselines, giga
 from .hilbert import CoresetProblem, WeightVector, build_problem, relative_error
 from .models import (
     GaussianMeanData,
+    LaplaceNotConverged,
     ProjectionConfig,
     RegressionData,
     coreset_posterior_variance,
@@ -79,6 +80,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.experiment == "synth-vectors" and self.dim < 1:
+            raise ValueError("dim must be >= 1 for synth-vectors")
+        if self.proj_samples is not None and self.proj_samples < 1:
+            raise ValueError("proj_samples must be >= 1")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -239,9 +244,14 @@ def run_regress(spec: ExperimentSpec) -> list[ResultRow]:
     else:
         data = synth_regression_data(spec.model, spec.n,
                                      _stream(spec.seed, 0, _STREAM_DATA))
-    lap = laplace(spec.model, data)
-    param_dim = data.d + 1
-    samples = spec.proj_samples or default_sample_count(param_dim)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):   # a failed fit raises below
+            lap = laplace(spec.model, data)
+    except LaplaceNotConverged as exc:
+        raise DataError(f"Laplace fit failed: {exc}") from exc
+    samples = spec.proj_samples
+    if samples is None:
+        samples = default_sample_count(data.d + 1)
 
     def one_trial(trial: int) -> list[ResultRow]:
         cfg = ProjectionConfig(samples, seed=_stream_seed(spec.seed, trial, _STREAM_PROJ))

@@ -12,6 +12,17 @@ L = sum_n L_n:
 The iterate ell(w_t) is cached and updated in O(1) vector operations per
 step (storage option with cached sums); w_t is kept as a dense array over
 the problem's kept indexing and sparsified only on output.
+
+The selection scan needs <ell_n, d_t> and <ell_n, ell(w_t)> for every n.
+Since d_t = (ell - <ell(w_t), ell> ell(w_t)) / ||.||, both follow from the
+constant scores U @ ell (``problem.unit_scores``) and the projections
+proj = U @ ell(w_t), which the state carries. A step moves proj with the
+Gram column U @ ell_{n_t} from a per-run ``GramColumns`` cache that holds
+at most d columns. When the column is not available (the cache is full, or
+the step already did its one product) and every RENORM_INTERVAL steps,
+proj is dropped and the next scan recomputes it with one N x d product. So
+a step on a cached row is O(N), and no step does more than one N x d
+product.
 """
 
 from __future__ import annotations
@@ -22,12 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .captree import CapNode, cap_objective
+from .captree import CapNode, objective_from_products
 from .captree import build as build_cap_tree
 from .captree import search as captree_search
-from .hilbert import CoresetProblem, WeightVector, zero_tol
+from .hilbert import RENORM_INTERVAL, CoresetProblem, GramColumns, WeightVector, zero_tol
 
-RENORM_INTERVAL = 64       # cached-iterate renormalization cadence
 STEP_DENOM_TOL = 1e-12     # line-search denominator guard
 CLAMP_WARN_TOL = 1e-9      # gamma outside [0,1] beyond this is suspicious
 
@@ -43,13 +53,18 @@ class DegenerateStep(Exception):
 @dataclass(eq=False)
 class GigaState:
     """Iterate after t steps: weights (normalized coordinates), cached unit
-    iterate ell(w_t), its alignment <ell(w_t), ell>, and J_t = 1 - alignment^2."""
+    iterate ell(w_t), its alignment <ell(w_t), ell>, the squared residual
+    J_t = ||ell - alignment * ell(w_t)||^2, the projections
+    proj = U @ ell(w_t) (None: the next ``select`` recomputes them) and the
+    run's Gram-column cache (None: projections are not carried)."""
 
     t: int
     weights: np.ndarray
     ell_w: np.ndarray
     alignment: float
     J: float
+    proj: np.ndarray | None = None
+    columns: GramColumns | None = None
 
 
 @dataclass
@@ -88,6 +103,8 @@ def initial_state(problem: CoresetProblem) -> GigaState:
         ell_w=np.zeros(problem.dimension),
         alignment=0.0,
         J=1.0,
+        proj=np.zeros(problem.n),
+        columns=GramColumns(problem),
     )
 
 
@@ -100,17 +117,24 @@ def select(problem: CoresetProblem, state: GigaState,
     (zero-vector convention for vanishing tangents). At t = 0 this reduces
     to argmax_n <ell_n, ell>. Raises Converged when the residual norm falls
     below zero_tol or no candidate scores positive.
+
+    The scan scores U @ d_t = (unit_scores - alignment * proj) / ||.|| from
+    the carried projections; when ``state.proj`` is None it is recomputed
+    (one N x d product) and stored on the state.
     """
     resid = problem.unit_target - state.alignment * state.ell_w
     resid_norm = float(np.linalg.norm(resid))
     if resid_norm <= zero_tol(problem.dimension):
         raise Converged
-    d_t = resid / resid_norm
 
     if searcher is not None:
-        n_t, score = captree_search(searcher, d_t, state.ell_w)
+        n_t, score = captree_search(searcher, resid / resid_norm, state.ell_w)
     else:
-        scores = cap_objective(problem.unit_vectors, d_t, state.ell_w)
+        if state.proj is None:
+            state.proj = (problem.unit_vectors @ state.ell_w if state.columns is None
+                          else state.columns.project(state.ell_w))
+        num = (problem.unit_scores - state.alignment * state.proj) / resid_norm
+        scores = objective_from_products(num, state.proj, problem.dimension)
         n_t = int(np.argmax(scores))        # ties break to the lowest index
         score = float(scores[n_t])
     if score <= 0.0:
@@ -153,7 +177,13 @@ def step_size(problem: CoresetProblem, state: GigaState,
 def update(problem: CoresetProblem, state: GigaState,
            trace: IterationTrace) -> GigaState:
     """Move along the geodesic and renormalize both the cached iterate and
-    the weights by the same norm."""
+    the weights by the same norm.
+
+    The projections follow as proj <- ((1 - gamma) proj + gamma U @ ell_{n_t})
+    / norm with the Gram column from the cache; they are dropped (None) when
+    the column is not available and every RENORM_INTERVAL steps. Weights
+    and the iterate never depend on the projections.
+    """
     g = trace.gamma
     if not (0.0 <= g <= 1.0):
         raise ValueError(f"step size {g} outside [0, 1]")
@@ -167,18 +197,29 @@ def update(problem: CoresetProblem, state: GigaState,
     ell_w = direction / nrm
 
     t_new = state.t + 1
-    if t_new % RENORM_INTERVAL == 0:
+    resync = t_new % RENORM_INTERVAL == 0
+    if resync:
         drift = float(np.linalg.norm(ell_w))
         ell_w = ell_w / drift
         weights = weights / drift
 
+    col = None
+    if state.columns is not None and state.proj is not None:
+        col = state.columns.column(trace.n_t)
+    proj = None
+    if col is not None and not resync:
+        proj = state.proj * ((1.0 - g) / nrm) + col * (g / nrm)
+
     alignment = float(ell_w @ problem.unit_target)
+    resid = problem.unit_target - alignment * ell_w
     return GigaState(
         t=t_new,
         weights=weights,
         ell_w=ell_w,
         alignment=alignment,
-        J=max(1.0 - alignment * alignment, 0.0),
+        J=float(resid @ resid),
+        proj=proj,
+        columns=state.columns,
     )
 
 
@@ -220,6 +261,8 @@ def run(problem: CoresetProblem, M: int, *,
     cps = sorted(set(checkpoints or []))
 
     state = initial_state(problem)
+    if searcher is not None:
+        state.proj = state.columns = None     # the cap-tree search needs no projections
     t_start = time.process_time()
     for _ in range(M):
         try:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ZERO_TOL_COEFF = 1e-12
+RENORM_INTERVAL = 64       # resync cadence of incrementally updated iterates
 
 
 def zero_tol(dim: int) -> float:
@@ -110,14 +111,15 @@ class CoresetProblem:
     target_norm: float        # ||L||
     unit_vectors: np.ndarray  # (N, d) ell_n
     unit_target: np.ndarray   # (d,) ell (zero vector when trivial)
+    unit_scores: np.ndarray   # (N,) <ell_n, ell>
     kept_indices: np.ndarray  # (N,) original index of each kept row
     n_original: int
     trivial: bool
     _orig_to_kept: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        for arr in (self.vectors, self.norms, self.target,
-                    self.unit_vectors, self.unit_target, self.kept_indices):
+        for arr in (self.vectors, self.norms, self.target, self.unit_vectors,
+                    self.unit_target, self.unit_scores, self.kept_indices):
             arr.flags.writeable = False
         lookup = np.full(self.n_original, -1, dtype=np.int64)
         lookup[self.kept_indices] = np.arange(self.kept_indices.size)
@@ -145,6 +147,41 @@ class CoresetProblem:
         kept = self._orig_to_kept[w.indices]
         mask = kept >= 0
         return WeightVector(kept[mask], w.values[mask].copy())
+
+
+class GramColumns:
+    """Columns ``U @ ell_n`` of the unit Gram matrix, cached for one
+    construction run (``U`` is ``problem.unit_vectors``).
+
+    Greedy scans carry projections ``U @ x`` of their iterate x from step to
+    step; moving x toward ell_n then needs only column n. At most
+    ``problem.dimension`` columns are kept, so the cache never holds more
+    floats than ``U`` itself. A step does at most one N x d product: once
+    ``project`` has run, the next ``column`` call computes no new column.
+    """
+
+    def __init__(self, problem: CoresetProblem):
+        self._unit = problem.unit_vectors
+        self._capacity = problem.dimension
+        self._columns: dict[int, np.ndarray] = {}
+        self._spent = False
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """``U @ x`` from one product, which uses up the current step."""
+        self._spent = True
+        return self._unit @ x
+
+    def column(self, n: int) -> np.ndarray | None:
+        """Column n, computed when not cached, there is room and the step
+        has done no product yet; None otherwise. Ends the step."""
+        col = self._columns.get(n)
+        if col is None and not self._spent and len(self._columns) < self._capacity:
+            col = self._columns[n] = self._unit @ self._unit[n]
+        self._spent = False
+        return col
 
 
 def build_problem(vectors) -> CoresetProblem:
@@ -189,6 +226,7 @@ def build_problem(vectors) -> CoresetProblem:
         target_norm=target_norm,
         unit_vectors=unit_vectors,
         unit_target=unit_target,
+        unit_scores=unit_vectors @ unit_target,
         kept_indices=kept_indices,
         n_original=int(V.shape[0]),
         trivial=trivial,

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,42 @@ class TestCli:
                      "--m-max", "2", "--proj-samples", "5"])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_laplace_failure_is_one_line_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,y\n1e300,1\n-1e300,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["regress", "--input", str(path), "--trials", "1",
+                         "--m-max", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("corebench: data error: Laplace fit failed")
+
+    @pytest.mark.parametrize("argv", [
+        ["regress", "--n", "30", "--proj-samples", "0"],
+        ["regress", "--n", "30", "--proj-samples", "-2"],
+        ["synth-vectors", "--n", "30", "--dim", "0"],
+        ["synth-vectors", "--n", "30", "--dim", "-1"],
+    ])
+    def test_nonpositive_size_is_one_line_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trials", "1", "--m-max", "2"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("corebench: error: ")
+        assert "must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ortho", "--n", "8"],
+        ["regress", "--n", "30", "--proj-samples", "2"],
+        ["synth-gauss", "--dim", "2", "--trials", "3"],
+    ])
+    def test_dim_ignored_where_unused(self, argv, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert main(argv + ["--m-max", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > 1
 
     def test_captree_flag_accepted(self, tmp_path):
         out = tmp_path / "rows.csv"

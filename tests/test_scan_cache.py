@@ -1,0 +1,192 @@
+"""Greedy scans from carried projections and cached Gram columns.
+
+GIGA and FW pick each point from projections U @ x of their iterate that
+are updated with cached columns U @ ell_n instead of recomputed. These
+tests check the picks against reference loops that recompute every product
+from scratch, and that the column cache stays within its cap.
+"""
+
+import numpy as np
+import pytest
+
+from corebench import baselines, giga
+from corebench.captree import cap_objective
+from corebench.hilbert import RENORM_INTERVAL, GramColumns, build_problem, relative_error
+
+MARGIN = 1e-9
+STEPS = 3 * RENORM_INTERVAL
+
+
+def tall_problem(rng):
+    """A random problem with more rows than dimensions, so that a long run
+    picks more distinct rows than the column cache can hold."""
+    d = int(rng.integers(4, 25))
+    n = int(rng.integers(4 * d, 12 * d))
+    rows = rng.normal(size=(n, d)) * np.exp(0.5 * rng.normal(size=(n, 1)))
+    return build_problem(rows)
+
+
+def top_two_margin(values):
+    top = np.partition(values, -2)[-2:]
+    return float(top[1] - top[0])
+
+
+def reference_giga_picks(problem, M):
+    """GIGA picks scored by cap_objective from fresh products at every step.
+
+    The state carries no projections, so update() moves the iterate exactly
+    as in a cached run; the list ends before the first step whose top-two
+    margin is MARGIN or less, or where the run stops.
+    """
+    state = giga.GigaState(t=0, weights=np.zeros(problem.n),
+                           ell_w=np.zeros(problem.dimension), alignment=0.0, J=1.0)
+    picks = []
+    for _ in range(M):
+        resid = problem.unit_target - state.alignment * state.ell_w
+        resid_norm = float(np.linalg.norm(resid))
+        if resid_norm <= giga.zero_tol(problem.dimension):
+            break
+        scores = cap_objective(problem.unit_vectors, resid / resid_norm, state.ell_w)
+        n_t = int(np.argmax(scores))
+        if top_two_margin(scores) <= MARGIN or scores[n_t] <= 0.0:
+            break
+        trace = giga.IterationTrace(
+            n_t=n_t, score=float(scores[n_t]),
+            zeta0=float(problem.unit_vectors[n_t] @ problem.unit_target),
+            zeta1=state.alignment,
+            zeta2=float(problem.unit_vectors[n_t] @ state.ell_w))
+        try:
+            giga.step_size(problem, state, trace)
+        except giga.DegenerateStep:
+            break
+        state = giga.update(problem, state, trace)
+        picks.append(n_t)
+    return picks
+
+
+def reference_fw_picks(problem, M):
+    """FW picks argmax((V @ (L - Lw)) * scale) with a fresh product per step,
+    ending before the first step whose top-two margin, relative to
+    sigma * ||L||, is MARGIN or less."""
+    V, L, sigma = problem.vectors, problem.target, problem.sigma_total
+    scale = sigma / problem.norms
+    n0 = int(np.argmax(problem.unit_vectors @ problem.unit_target))
+    Lw = scale[n0] * V[n0]
+    picks = [n0]
+    for _ in range(1, M):
+        resid = L - Lw
+        values = (V @ resid) * scale
+        n_t = int(np.argmax(values))
+        if top_two_margin(values) <= MARGIN * sigma * problem.target_norm:
+            break
+        vertex = scale[n_t] * V[n_t]
+        direction = vertex - Lw
+        denom = float(direction @ direction)
+        if denom <= (1e-12 * sigma) ** 2:
+            break
+        gamma = min(max(float(direction @ resid) / denom, 0.0), 1.0)
+        Lw = (1.0 - gamma) * Lw + gamma * vertex
+        picks.append(n_t)
+    return picks
+
+
+class RecordingColumns(GramColumns):
+    """GramColumns that records the largest size of the latest instance."""
+
+    peaks: list = []
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.peaks.append(0)
+
+    def column(self, n):
+        col = super().column(n)
+        self.peaks[-1] = max(self.peaks[-1], len(self))
+        return col
+
+
+@pytest.fixture
+def peak_columns(monkeypatch):
+    RecordingColumns.peaks = []
+    monkeypatch.setattr(giga, "GramColumns", RecordingColumns)
+    monkeypatch.setattr(baselines, "GramColumns", RecordingColumns)
+    return RecordingColumns.peaks
+
+
+def test_giga_picks_match_fresh_product_scan(rng, peak_columns):
+    compared = full = 0
+    for _ in range(24):
+        p = tall_problem(rng)
+        _, diag = giga.run(p, STEPS)
+        assert peak_columns[-1] <= p.dimension
+        full += peak_columns[-1] == p.dimension
+        picks = [tr.n_t for tr in diag.traces]
+        ref = reference_giga_picks(p, STEPS)
+        assert picks[:len(ref)] == ref
+        compared += len(ref)
+    assert compared >= 24 * 20
+    assert full >= 12        # most runs fill the cache and go on without it
+
+
+def test_fw_picks_match_fresh_product_scan(rng, peak_columns):
+    compared = full = 0
+    for _ in range(24):
+        p = tall_problem(rng)
+        _, diag = baselines.fw_coreset(p, STEPS)
+        assert peak_columns[-1] <= p.dimension
+        full += peak_columns[-1] == p.dimension
+        ref = reference_fw_picks(p, STEPS)
+        assert diag.selected[:len(ref)] == ref
+        compared += len(ref)
+    assert compared >= 24 * 20
+    assert full >= 12
+
+
+def test_cache_holds_at_most_dimension_columns():
+    p = build_problem(np.random.default_rng(0).normal(size=(40, 3)))
+    columns = GramColumns(p)
+    for n in range(p.n):
+        col = columns.column(n)
+        if n < p.dimension:
+            np.testing.assert_array_equal(col, p.unit_vectors @ p.unit_vectors[n])
+        else:
+            assert col is None
+    assert len(columns) == p.dimension
+    assert columns.column(1) is not None          # cached rows stay available
+
+
+def test_step_with_a_projection_computes_no_column():
+    p = build_problem(np.random.default_rng(1).normal(size=(20, 5)))
+    columns = GramColumns(p)
+    x = p.unit_vectors[3]
+    np.testing.assert_array_equal(columns.project(x), p.unit_vectors @ x)
+    assert columns.column(0) is None              # one product per step
+    assert columns.column(0) is not None          # the next step may add it
+    assert len(columns) == 1
+
+
+def test_hand_built_state_without_projections():
+    p = build_problem(np.random.default_rng(2).normal(size=(30, 4)))
+    state = giga.initial_state(p)
+    state.proj = state.columns = None
+    trace = giga.select(p, state)
+    np.testing.assert_array_equal(state.proj, np.zeros(p.n))
+    giga.step_size(p, state, trace)
+    new = giga.update(p, state, trace)
+    assert new.proj is None and new.columns is None
+    assert giga.select(p, new).n_t == giga.run(p, 2)[1].traces[1].n_t
+
+
+def test_cost_keeps_digits_below_float_resolution_of_alignment():
+    p = build_problem(np.random.default_rng(3).normal(size=(2000, 50)))
+    M = 220
+    _, diag = giga.run(p, M, checkpoints=range(1, M + 1))
+    checked = 0
+    for m in range(1, len(diag.costs) + 1):
+        err = relative_error(p, diag.snapshots[m])
+        if err > 1e-11:
+            assert np.sqrt(diag.costs[m - 1]) == pytest.approx(err, rel=1e-3)
+            checked += 1
+    assert checked >= 150
+    # errors below 1e-8 are where 1 - alignment^2 had no digits left
+    assert min(np.sqrt(diag.costs[:checked])) < 1e-8
