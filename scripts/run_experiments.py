@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Run all four benchmark experiments at desk scale and write CSVs.
+"""Run the five benchmark experiments at desk scale and write CSVs.
 
-Results land in ./results/ (one file per experiment). Equivalent to calling
-the `corebench` CLI once per experiment; tweak the argument lists below or
-use the CLI directly for other settings. Set COREBENCH_THREADS to
-parallelize trials.
+Usage: python3 scripts/run_experiments.py
+
+Runs synth-gauss, synth-vectors, ortho and regress (logistic and poisson)
+with their CLI defaults. Results land in ./results/ (one file per run; the
+directory is not tracked). Equivalent to calling the `corebench` CLI once
+per run; tweak the argument lists below or use the CLI directly for other
+settings. Set COREBENCH_THREADS to parallelize trials. The package is
+imported from this checkout's ``src/``.
 """
 
 import pathlib
 import sys
 
-from corebench.cli import main
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from corebench.cli import main  # noqa: E402
 
 OUT = pathlib.Path("results")
 

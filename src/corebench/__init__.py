@@ -2,21 +2,10 @@
 
 Greedy iterative geodesic ascent with optimal output scaling, plus
 Frank-Wolfe / importance-sampling / uniform-subsampling baselines, Bayesian
-model embeddings, a spherical cap-tree for accelerated selection, and a
-benchmark CLI.
+model embeddings, and a benchmark CLI.
 """
 
-from .baselines import (
-    BaselineConfig,
-    FwDiagnostics,
-    build_coreset,
-    fw_coreset,
-    is_coreset,
-    rnd_coreset,
-    sampling_sweep,
-)
-from .captree import CapNode, build as build_cap_tree, node_lower_bound, node_upper_bound
-from .captree import search as captree_search
+from .baselines import FwDiagnostics, fw_coreset, is_coreset, rnd_coreset, sampling_sweep
 from .giga import GigaDiagnostics, GigaState, IterationTrace
 from .giga import finalize as giga_finalize
 from .giga import run as giga_run
@@ -25,10 +14,8 @@ from .hilbert import (
     WeightVector,
     build_problem,
     coreset_sum,
-    inner,
     norm,
     relative_error,
-    safe_normalize,
     weighted_sum,
 )
 from .models import (
@@ -46,8 +33,6 @@ from .models import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig",
-    "CapNode",
     "CoresetProblem",
     "FwDiagnostics",
     "GaussianMeanData",
@@ -58,27 +43,20 @@ __all__ = [
     "ProjectionConfig",
     "RegressionData",
     "WeightVector",
-    "build_cap_tree",
-    "build_coreset",
     "build_problem",
-    "captree_search",
     "coreset_posterior_variance",
     "coreset_sum",
     "fw_coreset",
     "gaussian_embed",
     "giga_finalize",
     "giga_run",
-    "inner",
     "is_coreset",
     "laplace",
     "log_likelihood_grad",
-    "node_lower_bound",
-    "node_upper_bound",
     "norm",
     "project",
     "relative_error",
     "rnd_coreset",
-    "safe_normalize",
     "sampling_sweep",
     "weighted_sum",
 ]

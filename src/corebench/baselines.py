@@ -16,7 +16,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,31 +25,10 @@ from .hilbert import (
     ZERO_TOL_COEFF,
     CoresetProblem,
     GramColumns,
+    Stop,
     WeightVector,
+    iterate,
 )
-
-METHODS = ("FW", "IS", "RND")
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    method: str
-    M: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.M < 1:
-            raise ValueError("budget M must be >= 1")
-
-
-def build_coreset(problem: CoresetProblem, config: BaselineConfig) -> WeightVector:
-    if config.method == "FW":
-        return fw_coreset(problem, config.M)[0]
-    if config.method == "IS":
-        return is_coreset(problem, config.M, config.seed)
-    return rnd_coreset(problem, config.M, config.seed)
 
 
 @dataclass
@@ -83,71 +61,51 @@ def fw_coreset(problem: CoresetProblem, M: int,
     with one N x d product instead, so no step does more than one. The line search uses
     direct row products, so the weights do not depend on the cache.
     """
-    if M < 1:
-        raise ValueError("iteration budget M must be >= 1")
     diag = FwDiagnostics()
-    cps = sorted(set(checkpoints or []))
-    if problem.trivial:
-        diag.stop_reason = "trivial"
-        for m in cps:
-            diag.snapshots[m] = WeightVector.empty()
-        return WeightVector.empty(), diag
-
     V = problem.vectors
     sigma = problem.sigma_total
     scale = sigma / problem.norms                    # vertex n is scale[n] * V[n]
     L = problem.target
     target_scores = problem.target_norm * problem.unit_scores    # <ell_n, L>
     columns = GramColumns(problem)
-
-    t_start = time.process_time()
     w = np.zeros(problem.n)
-    n0 = int(np.argmax(problem.unit_scores))
-    w[n0] = scale[n0]
-    Lw = scale[n0] * V[n0]
-    proj = sigma * columns.column(n0)                # U @ L(w_t), None: recompute
-    diag.selected.append(n0)
-    diag.gammas.append(1.0)
-    diag.errors.append(float(np.linalg.norm(Lw - L)))
-    diag.times.append(time.process_time() - t_start)
+    Lw = proj = None                                 # proj = U @ L(w_t), None: recompute
 
-    def snapshot(m):
-        diag.snapshots[m] = problem.to_original(WeightVector.from_dense(w))
-
-    if 1 in cps:
-        snapshot(1)
-
-    for t in range(1, M):
-        resid = L - Lw
-        if proj is None:
-            proj = columns.project(Lw)
-        n_t = int(np.argmax(target_scores - proj))
-        vertex = scale[n_t] * V[n_t]
-        direction = vertex - Lw
-        denom = float(direction @ direction)
-        if denom <= (ZERO_TOL_COEFF * sigma) ** 2:
-            diag.stop_reason = "degenerate line search"
-            break
-        gamma = min(max(float(direction @ resid) / denom, 0.0), 1.0)
-        w *= 1.0 - gamma
-        w[n_t] += gamma * scale[n_t]
-        Lw = (1.0 - gamma) * Lw + gamma * vertex
-        col = columns.column(n_t)
-        if col is None or t % RENORM_INTERVAL == 0:
-            proj = None
+    def step(t):
+        nonlocal w, Lw, proj
+        if t == 1:
+            if problem.trivial:
+                raise Stop("trivial")
+            n_t = int(np.argmax(problem.unit_scores))
+            gamma = 1.0
+            w[n_t] = scale[n_t]
+            Lw = scale[n_t] * V[n_t]
+            proj = sigma * columns.column(n_t)
         else:
-            proj = proj * (1.0 - gamma) + col * (gamma * sigma)
+            resid = L - Lw
+            if proj is None:
+                proj = columns.project(Lw)
+            n_t = int(np.argmax(target_scores - proj))
+            vertex = scale[n_t] * V[n_t]
+            direction = vertex - Lw
+            denom = float(direction @ direction)
+            if denom <= (ZERO_TOL_COEFF * sigma) ** 2:
+                raise Stop("degenerate line search")
+            gamma = min(max(float(direction @ resid) / denom, 0.0), 1.0)
+            w *= 1.0 - gamma
+            w[n_t] += gamma * scale[n_t]
+            Lw = (1.0 - gamma) * Lw + gamma * vertex
+            col = columns.column(n_t)
+            if col is None or (t - 1) % RENORM_INTERVAL == 0:
+                proj = None
+            else:
+                proj = proj * (1.0 - gamma) + col * (gamma * sigma)
         diag.selected.append(n_t)
         diag.gammas.append(gamma)
         diag.errors.append(float(np.linalg.norm(Lw - L)))
-        diag.times.append(time.process_time() - t_start)
-        if t + 1 in cps:
-            snapshot(t + 1)
 
-    final = problem.to_original(WeightVector.from_dense(w))
-    for m in cps:
-        if m not in diag.snapshots:
-            diag.snapshots[m] = final
+    final, diag.snapshots, diag.times, diag.stop_reason = iterate(
+        step, lambda: problem.to_original(WeightVector.from_dense(w)), M, checkpoints)
     return final, diag
 
 
@@ -161,25 +119,12 @@ def _multiplicity_weights(problem: CoresetProblem, draws: np.ndarray,
 def is_coreset(problem: CoresetProblem, M: int, seed) -> WeightVector:
     """Importance-sampled coreset: M draws with probability sigma_n / sigma,
     w_n = m_n * sigma / (M * sigma_n). Unbiased: E[L(w)] = L."""
-    if M < 1:
-        raise ValueError("sample budget M must be >= 1")
-    if problem.n == 0:
-        return WeightVector.empty()
-    rng = np.random.default_rng(seed)
-    probs = problem.norms / problem.sigma_total
-    draws = rng.choice(problem.n, size=M, p=probs)
-    return _multiplicity_weights(problem, draws, problem.sigma_total / problem.norms)
+    return sampling_sweep(problem, [M], seed, "IS")[M]
 
 
 def rnd_coreset(problem: CoresetProblem, M: int, seed) -> WeightVector:
     """Uniform random subsampling: w_n = m_n * N / M. Unbiased: E[L(w)] = L."""
-    if M < 1:
-        raise ValueError("sample budget M must be >= 1")
-    if problem.n == 0:
-        return WeightVector.empty()
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, problem.n, size=M)
-    return _multiplicity_weights(problem, draws, np.full(problem.n, float(problem.n)))
+    return sampling_sweep(problem, [M], seed, "RND")[M]
 
 
 def sampling_sweep(problem: CoresetProblem, grid, seed,

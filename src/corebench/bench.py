@@ -72,12 +72,15 @@ class ExperimentSpec:
     label_col: str = "y"
     standardize: bool = False
     proj_samples: int | None = None
-    use_captree: bool = False
     out_path: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.m_max < 1:
+            raise ValueError("m_max must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.experiment == "synth-vectors" and self.dim < 1:
@@ -143,27 +146,18 @@ def _construction_rows(problem: CoresetProblem, spec: ExperimentSpec, trial: int
         ))
 
     for alg in spec.algorithms:
-        if alg == "giga":
-            _, diag = giga.run(problem, grid[-1], use_captree=spec.use_captree,
-                               checkpoints=grid)
+        if alg in ("giga", "fw"):
+            construct = giga.run if alg == "giga" else baselines.fw_coreset
+            _, diag = construct(problem, grid[-1], checkpoints=grid)
             for m in grid:
                 emit(alg, m, diag.snapshots[m], _checkpoint_time(diag.times, m))
-        elif alg == "fw":
-            _, diag = baselines.fw_coreset(problem, grid[-1], checkpoints=grid)
-            for m in grid:
-                emit(alg, m, diag.snapshots[m], _checkpoint_time(diag.times, m))
-        elif alg == "is":
-            alg_seed = _stream_seed(spec.seed, trial, _STREAM_IS)
-            for m in grid:
-                t0 = time.process_time()
-                w = baselines.is_coreset(problem, m, alg_seed)
-                emit(alg, m, w, time.process_time() - t0)
         else:
-            alg_seed = _stream_seed(spec.seed, trial, _STREAM_RND)
+            seed = _stream_seed(spec.seed, trial, _STREAM_IS if alg == "is" else _STREAM_RND)
+            t0 = time.process_time()
+            sweep = baselines.sampling_sweep(problem, grid, seed, alg.upper())
+            cpu = time.process_time() - t0
             for m in grid:
-                t0 = time.process_time()
-                w = baselines.rnd_coreset(problem, m, alg_seed)
-                emit(alg, m, w, time.process_time() - t0)
+                emit(alg, m, sweep[m], cpu)
     return rows
 
 

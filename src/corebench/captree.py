@@ -9,7 +9,9 @@ over members, where u is the normalized residual direction and v the current
 unit iterate (u and v orthonormal; v may be the zero vector at the first
 step, in which case the objective degenerates to <ell_n, u>). Per-node upper
 bounds prune subtrees; the representative vector (member closest to xi)
-supplies cheap lower bounds.
+supplies cheap lower bounds. The objective is GIGA's selection objective
+(``giga.cap_objective``); GIGA itself selects with a linear scan, and this
+search is a standalone exact alternative to that scan.
 
 Construction is a median-balanced two-pole split: the two (approximately)
 farthest-apart members act as poles and members are assigned to the nearer
@@ -23,30 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .giga import cap_objective
 from .hilbert import zero_tol
 
 LEAF_SIZE = 32
-
-
-def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int) -> np.ndarray:
-    """Selection objective num / sqrt(1 - zv^2), clamped to [-1, 1], from
-    the products num = <ell_n, u> and zv = <ell_n, v>.
-
-    Rows parallel to v (vanishing tangent component) score 0 by the
-    zero-vector convention. The clamp removes spurious > 1 values produced
-    by cancellation in the 1 - <ell_n, v>^2 denominator.
-    """
-    den2 = np.maximum(1.0 - zv ** 2, 0.0)
-    ok = den2 > zero_tol(dim) ** 2
-    scores = np.where(ok, num / np.sqrt(np.where(ok, den2, 1.0)), 0.0)
-    return np.clip(scores, -1.0, 1.0)
-
-
-def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Selection objective for each row of ``vectors`` (see
-    ``objective_from_products``)."""
-    vectors = np.atleast_2d(vectors)
-    return objective_from_products(vectors @ u, vectors @ v, vectors.shape[1])
 
 
 @dataclass(eq=False)

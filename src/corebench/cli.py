@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="root RNG seed")
         p.add_argument("--out", default=None,
                        help="output CSV path (default: stdout)")
-        p.add_argument("--use-captree", action="store_true",
-                       help="use cap-tree search inside the greedy selection")
         if name == "regress":
             p.add_argument("--model", choices=("logistic", "poisson"),
                            default="logistic")
@@ -91,11 +89,8 @@ def main(argv=None) -> int:
             label_col=getattr(args, "label_col", "y"),
             standardize=getattr(args, "standardize", False),
             proj_samples=getattr(args, "proj_samples", None),
-            use_captree=args.use_captree,
             out_path=args.out,
         )
-        if spec.m_max < 1 or spec.n < 1:
-            raise ValueError("--n and --m-max must be >= 1")
     except ValueError as exc:
         parser.error(str(exc))
 

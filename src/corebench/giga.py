@@ -27,27 +27,57 @@ product.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .captree import CapNode, objective_from_products
-from .captree import build as build_cap_tree
-from .captree import search as captree_search
-from .hilbert import RENORM_INTERVAL, CoresetProblem, GramColumns, WeightVector, zero_tol
+from .hilbert import (
+    RENORM_INTERVAL,
+    CoresetProblem,
+    GramColumns,
+    Stop,
+    WeightVector,
+    iterate,
+    zero_tol,
+)
 
 STEP_DENOM_TOL = 1e-12     # line-search denominator guard
 CLAMP_WARN_TOL = 1e-9      # gamma outside [0,1] beyond this is suspicious
 
 
-class Converged(Exception):
+class Converged(Stop):
     """Residual direction exhausted; the iterate cannot improve further."""
 
+    reason = "converged"
 
-class DegenerateStep(Exception):
+
+class DegenerateStep(Stop):
     """Line-search denominator vanished (selected point coincides with iterate)."""
+
+    reason = "degenerate step"
+
+
+def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int) -> np.ndarray:
+    """Selection objective num / sqrt(1 - zv^2), clamped to [-1, 1], from
+    the products num = <ell_n, u> and zv = <ell_n, v>, where u is the unit
+    residual direction and v the unit iterate.
+
+    Rows parallel to v (vanishing tangent component) score 0 by the
+    zero-vector convention. The clamp removes spurious > 1 values produced
+    by cancellation in the 1 - <ell_n, v>^2 denominator.
+    """
+    den2 = np.maximum(1.0 - zv ** 2, 0.0)
+    ok = den2 > zero_tol(dim) ** 2
+    scores = np.where(ok, num / np.sqrt(np.where(ok, den2, 1.0)), 0.0)
+    return np.clip(scores, -1.0, 1.0)
+
+
+def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Selection objective for each row of ``vectors`` (see
+    ``objective_from_products``)."""
+    vectors = np.atleast_2d(vectors)
+    return objective_from_products(vectors @ u, vectors @ v, vectors.shape[1])
 
 
 @dataclass(eq=False)
@@ -90,11 +120,6 @@ class GigaDiagnostics:
     stop_reason: str | None = None
     snapshots: dict[int, WeightVector] = field(default_factory=dict)
 
-    @property
-    def eta(self) -> float:
-        """sqrt(J_1): the scale factor of the first-step cost."""
-        return float(np.sqrt(self.costs[0])) if self.costs else float("nan")
-
 
 def initial_state(problem: CoresetProblem) -> GigaState:
     return GigaState(
@@ -108,8 +133,7 @@ def initial_state(problem: CoresetProblem) -> GigaState:
     )
 
 
-def select(problem: CoresetProblem, state: GigaState,
-           searcher: CapNode | None = None) -> IterationTrace:
+def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
     """Pick the point whose geodesic direction best matches the residual.
 
     Computes d_t = (ell - <ell, ell(w)> ell(w)) / ||.|| and maximizes
@@ -127,16 +151,13 @@ def select(problem: CoresetProblem, state: GigaState,
     if resid_norm <= zero_tol(problem.dimension):
         raise Converged
 
-    if searcher is not None:
-        n_t, score = captree_search(searcher, resid / resid_norm, state.ell_w)
-    else:
-        if state.proj is None:
-            state.proj = (problem.unit_vectors @ state.ell_w if state.columns is None
-                          else state.columns.project(state.ell_w))
-        num = (problem.unit_scores - state.alignment * state.proj) / resid_norm
-        scores = objective_from_products(num, state.proj, problem.dimension)
-        n_t = int(np.argmax(scores))        # ties break to the lowest index
-        score = float(scores[n_t])
+    if state.proj is None:
+        state.proj = (problem.unit_vectors @ state.ell_w if state.columns is None
+                      else state.columns.project(state.ell_w))
+    num = (problem.unit_scores - state.alignment * state.proj) / resid_norm
+    scores = objective_from_products(num, state.proj, problem.dimension)
+    n_t = int(np.argmax(scores))        # ties break to the lowest index
+    score = float(scores[n_t])
     if score <= 0.0:
         raise Converged
 
@@ -237,54 +258,29 @@ def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
 
 
 def run(problem: CoresetProblem, M: int, *,
-        use_captree: bool = False,
-        searcher: CapNode | None = None,
         checkpoints=None) -> tuple[WeightVector, GigaDiagnostics]:
     """Run up to M greedy iterations and return finalized weights.
 
-    Early stop ("converged" / "degenerate step") is recorded in the
-    diagnostics rather than raised. When ``checkpoints`` is given, a
+    Early stop ("trivial" / "converged" / "degenerate step") is recorded in
+    the diagnostics rather than raised. When ``checkpoints`` is given, a
     finalized snapshot of the weights is captured after each listed
     iteration count (snapshots after an early stop repeat the final state).
     """
-    if M < 1:
-        raise ValueError("iteration budget M must be >= 1")
     diag = GigaDiagnostics()
-    if problem.trivial:
-        diag.stop_reason = "trivial"
-        for m in sorted(set(checkpoints or [])):
-            diag.snapshots[m] = WeightVector.empty()
-        return WeightVector.empty(), diag
-
-    if searcher is None and use_captree:
-        searcher = build_cap_tree(problem.unit_vectors)
-    cps = sorted(set(checkpoints or []))
-
     state = initial_state(problem)
-    if searcher is not None:
-        state.proj = state.columns = None     # the cap-tree search needs no projections
-    t_start = time.process_time()
-    for _ in range(M):
-        try:
-            trace = select(problem, state, searcher)
-            step_size(problem, state, trace)
-        except Converged:
-            diag.stop_reason = "converged"
-            break
-        except DegenerateStep:
-            diag.stop_reason = "degenerate step"
-            break
+
+    def step(t):
+        nonlocal state
+        if problem.trivial:
+            raise Stop("trivial")
+        trace = select(problem, state)
+        step_size(problem, state, trace)
         state = update(problem, state, trace)
         diag.traces.append(trace)
         diag.alignments.append(state.alignment)
         diag.costs.append(state.J)
         diag.sizes.append(int(np.count_nonzero(state.weights)))
-        diag.times.append(time.process_time() - t_start)
-        if state.t in cps:
-            diag.snapshots[state.t] = finalize(problem, state)
 
-    final = finalize(problem, state)
-    for m in cps:
-        if m not in diag.snapshots and m >= state.t:
-            diag.snapshots[m] = final
+    final, diag.snapshots, diag.times, diag.stop_reason = iterate(
+        step, lambda: finalize(problem, state), M, checkpoints)
     return final, diag

@@ -12,6 +12,7 @@ scale-aware tolerance guarding against catastrophic cancellation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,26 +26,8 @@ def zero_tol(dim: int) -> float:
     return ZERO_TOL_COEFF * np.sqrt(dim)
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean inner product with a dimension check."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(u @ v)
-
-
 def norm(u: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(u, dtype=np.float64)))
-
-
-def safe_normalize(u: np.ndarray) -> np.ndarray:
-    """Return u / ||u||, or the zero vector when ||u|| <= zero_tol(dim)."""
-    u = np.asarray(u, dtype=np.float64)
-    n = np.linalg.norm(u)
-    if n <= zero_tol(u.size):
-        return np.zeros_like(u)
-    return u / n
 
 
 @dataclass(eq=False)
@@ -182,6 +165,50 @@ class GramColumns:
             col = self._columns[n] = self._unit @ self._unit[n]
         self._spent = False
         return col
+
+
+class Stop(Exception):
+    """Raised by a construction step to end the run before its budget;
+    ``reason`` is recorded as the run's stop reason."""
+
+    reason = "stopped"
+
+    def __init__(self, reason: str | None = None):
+        if reason is not None:
+            self.reason = reason
+        super().__init__(self.reason)
+
+
+def iterate(step, snapshot, M: int, checkpoints=None):
+    """Run one greedy construction for up to M steps.
+
+    ``step(t)`` performs step t = 1..M and raises ``Stop`` to end the run
+    early; ``snapshot()`` returns the output weights of the current
+    iterate. Returns ``(final, snapshots, times, stop_reason)``:
+    ``snapshots`` maps each checkpoint to the weights after that many
+    steps (checkpoints past an early stop get the final weights), ``times``
+    holds the cumulative process CPU seconds after each completed step, and
+    ``stop_reason`` is None when all M steps ran.
+    """
+    if M < 1:
+        raise ValueError("iteration budget M must be >= 1")
+    cps = set(checkpoints or ())
+    snapshots, times, stop_reason = {}, [], None
+    t_start = time.process_time()
+    for t in range(1, M + 1):
+        try:
+            step(t)
+        except Stop as stop:
+            stop_reason = stop.reason
+            break
+        times.append(time.process_time() - t_start)
+        if t in cps:
+            snapshots[t] = snapshot()
+    done = len(times)
+    final = snapshots[done] if done in snapshots else snapshot()
+    for m in cps:
+        snapshots.setdefault(m, final)
+    return final, snapshots, times, stop_reason
 
 
 def build_problem(vectors) -> CoresetProblem:

@@ -112,9 +112,6 @@ class ProjectionConfig:
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
 
-    def embedding_dim(self, param_dim: int) -> int:
-        return self.sample_count * param_dim
-
 
 def default_sample_count(param_dim: int, target_dim: int = 500) -> int:
     """Sample count giving an embedding dimension of about ``target_dim``."""

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from corebench.baselines import (
-    BaselineConfig,
-    build_coreset,
-    fw_coreset,
-    is_coreset,
-    rnd_coreset,
-    sampling_sweep,
-)
+from corebench.baselines import fw_coreset, is_coreset, rnd_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import build_problem, coreset_sum, relative_error
 
@@ -73,12 +66,6 @@ class TestFrankWolfe:
         w, diag = fw_coreset(p, 5)
         assert diag.stop_reason == "degenerate line search"
         assert w.nnz == 1
-
-    def test_snapshots_backfilled_past_early_stop(self):
-        p = build_problem([(3.0, 4.0)])
-        _, diag = fw_coreset(p, 5, checkpoints=[1, 3, 5])
-        for m in (1, 3, 5):
-            np.testing.assert_allclose(diag.snapshots[m].to_dense(1), [1.0])
 
 
 class TestAxisProblemFormulas:
@@ -178,26 +165,16 @@ class TestUniformSubsampling:
         assert np.linalg.norm(mean - p.target) <= 0.01 * p.target_norm
 
 
-class TestSweepAndConfig:
-    def test_sweep_prefix_consistency(self, rng):
+class TestSweep:
+    @pytest.mark.parametrize("method, single", [("IS", is_coreset), ("RND", rnd_coreset)],
+                             ids=["IS", "RND"])
+    def test_sweep_prefix_consistency(self, rng, method, single):
         p = random_problem(rng, max_n=30, max_dim=5)
         if p.n == 0:
             return
-        sweep = sampling_sweep(p, [2, 5, 9], seed=11, method="IS")
-        single = is_coreset(p, 9, seed=11)
-        np.testing.assert_array_equal(sweep[9].indices, single.indices)
-        np.testing.assert_allclose(sweep[9].values, single.values)
-
-    def test_config_dispatch(self):
-        p = axis_problem(6)
-        w_fw = build_coreset(p, BaselineConfig("FW", M=3))
-        w_is = build_coreset(p, BaselineConfig("IS", M=3, seed=5))
-        w_rn = build_coreset(p, BaselineConfig("RND", M=3, seed=5))
-        assert w_fw.nnz == 3
-        assert w_is.nnz <= 3 and w_rn.nnz <= 3
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            BaselineConfig("GREEDY", M=2)
-        with pytest.raises(ValueError, match="M must be"):
-            BaselineConfig("FW", M=0)
+        grid = [2, 5, 9]
+        sweep = sampling_sweep(p, grid, seed=11, method=method)
+        for m in grid:
+            w = single(p, m, seed=11)
+            np.testing.assert_array_equal(sweep[m].indices, w.indices)
+            np.testing.assert_allclose(sweep[m].values, w.values)

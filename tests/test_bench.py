@@ -247,6 +247,9 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-experiment"])
         assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["ortho", "--use-captree"])
+        assert exc.value.code == 1
 
     def test_data_error_is_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
@@ -272,10 +275,12 @@ class TestCli:
         ["regress", "--n", "30", "--proj-samples", "-2"],
         ["synth-vectors", "--n", "30", "--dim", "0"],
         ["synth-vectors", "--n", "30", "--dim", "-1"],
+        ["ortho", "--n", "0"],
+        ["ortho", "--m-max", "0"],
     ])
     def test_nonpositive_size_is_one_line_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--trials", "1", "--m-max", "2"])
+            main(argv[:1] + ["--trials", "1", "--m-max", "2"] + argv[1:])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("corebench: error: ")
@@ -290,12 +295,6 @@ class TestCli:
         out = tmp_path / "rows.csv"
         assert main(argv + ["--m-max", "2", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) > 1
-
-    def test_captree_flag_accepted(self, tmp_path):
-        out = tmp_path / "rows.csv"
-        code = main(["ortho", "--n", "16", "--m-max", "4", "--trials", "1",
-                     "--algs", "giga", "--use-captree", "--out", str(out)])
-        assert code == 0
 
     def test_regress_from_csv_input(self, tmp_path):
         rng = np.random.default_rng(0)

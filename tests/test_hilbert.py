@@ -4,16 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as nps
 
+from corebench.baselines import fw_coreset
+from corebench.giga import run as giga_run
 from corebench.hilbert import (
+    Stop,
     WeightVector,
     build_problem,
     coreset_sum,
-    inner,
+    iterate,
     norm,
     relative_error,
-    safe_normalize,
     weighted_sum,
-    zero_tol,
 )
 
 from conftest import random_problem
@@ -122,30 +123,47 @@ class TestWeightedSum:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
-class TestInnerNormNormalize:
-    def test_orthogonal_inner(self):
-        assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+class TestIterate:
+    """Bookkeeping of the construction loop that GIGA and FW share."""
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            inner(np.ones(2), np.ones(3))
+    def test_stop_ends_run_and_later_checkpoints_get_final(self):
+        done = []
 
-    def test_zero_convention(self):
-        np.testing.assert_array_equal(safe_normalize(np.zeros(2)), np.zeros(2))
+        def step(t):
+            if t == 3:
+                raise Stop("halted")
+            done.append(t)
 
-    def test_three_four_five(self):
-        np.testing.assert_allclose(safe_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        final, snaps, times, reason = iterate(step, lambda: len(done), 6,
+                                              checkpoints=[1, 2, 5])
+        assert (final, reason, len(times)) == (2, "halted", 2)
+        assert snaps == {1: 1, 2: 2, 5: 2}
+        assert times == sorted(times)
 
-    @given(nps.arrays(np.float64, 3, elements=st.floats(-1e6, 1e6)))
-    @settings(max_examples=200, deadline=None)
-    def test_normalize_norm_is_zero_or_one(self, u):
-        n = norm(safe_normalize(u))
-        assert n == 0.0 or n == pytest.approx(1.0, abs=1e-12)
+    def test_full_budget_has_no_stop_reason(self):
+        final, snaps, times, reason = iterate(lambda t: None, lambda: "w", 4)
+        assert (final, snaps, len(times), reason) == ("w", {}, 4, None)
 
-    def test_tiny_vector_treated_as_zero(self):
-        u = np.full(4, 1e-15)
-        assert norm(u) <= zero_tol(4)
-        np.testing.assert_array_equal(safe_normalize(u), np.zeros(4))
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            iterate(lambda t: None, lambda: "w", 0)
+
+    @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
+    def test_trivial_problem_takes_no_step(self, construct):
+        p = build_problem([(1.0, 0.0), (-1.0, 0.0)])
+        w, diag = construct(p, 3, checkpoints=[1, 3])
+        assert (w.nnz, diag.stop_reason, diag.times) == (0, "trivial", [])
+        assert {m: s.nnz for m, s in diag.snapshots.items()} == {1: 0, 3: 0}
+
+    @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
+    def test_snapshots_backfilled_past_early_stop(self, construct):
+        # one vector: GIGA converges and FW's line search degenerates after step 1
+        p = build_problem([(3.0, 4.0)])
+        _, diag = construct(p, 5, checkpoints=[1, 3, 5])
+        assert diag.stop_reason in ("converged", "degenerate line search")
+        assert len(diag.times) == 1
+        for m in (1, 3, 5):
+            np.testing.assert_allclose(diag.snapshots[m].to_dense(1), [1.0])
 
 
 class TestWeightVector:

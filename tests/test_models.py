@@ -171,7 +171,6 @@ class TestProjection:
         lap = laplace("logistic", data)
         p = project("logistic", data, lap, ProjectionConfig(1, seed=1))
         assert p.dimension == 4
-        assert ProjectionConfig(7, seed=1).embedding_dim(4) == 28
 
     def test_deterministic_given_seed(self, rng):
         data = RegressionData(rng.normal(size=(6, 2)),

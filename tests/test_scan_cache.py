@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from corebench import baselines, giga
-from corebench.captree import cap_objective
 from corebench.hilbert import RENORM_INTERVAL, GramColumns, build_problem, relative_error
 
 MARGIN = 1e-9
@@ -46,7 +45,7 @@ def reference_giga_picks(problem, M):
         resid_norm = float(np.linalg.norm(resid))
         if resid_norm <= giga.zero_tol(problem.dimension):
             break
-        scores = cap_objective(problem.unit_vectors, resid / resid_norm, state.ell_w)
+        scores = giga.cap_objective(problem.unit_vectors, resid / resid_norm, state.ell_w)
         n_t = int(np.argmax(scores))
         if top_two_margin(scores) <= MARGIN or scores[n_t] <= 0.0:
             break
