@@ -7,8 +7,7 @@ Runs synth-gauss, synth-vectors, ortho and regress (logistic and poisson)
 with their CLI defaults. Results land in ./results/ (one file per run; the
 directory is not tracked). Equivalent to calling the `corebench` CLI once
 per run; tweak the argument lists below or use the CLI directly for other
-settings. Set COREBENCH_THREADS to parallelize trials. The package is
-imported from this checkout's ``src/``.
+settings. The package is imported from this checkout's ``src/``.
 """
 
 import pathlib

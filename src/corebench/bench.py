@@ -16,19 +16,16 @@ Budgets are swept over a log-spaced grid {1, ..., m_max}. Randomness is
 split into named PCG64 streams: trial t of a run with root seed s uses
 ``SeedSequence(s, spawn_key=(t, k))`` with k = 0 for data, 1 for importance
 sampling, 2 for uniform subsampling, and 3 for the projection draw, so every
-row is reproducible bit-for-bit (timing columns aside). Trials may run
-concurrently (COREBENCH_THREADS); rows are always emitted in
-(trial, algorithm, M) order.
+row is reproducible bit-for-bit (timing columns aside). Trials run one
+after another, and rows are emitted in (trial, algorithm, M) order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -72,7 +69,6 @@ class ExperimentSpec:
     label_col: str = "y"
     standardize: bool = False
     proj_samples: int | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -83,6 +79,8 @@ class ExperimentSpec:
             raise ValueError("m_max must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.experiment == "synth-vectors" and self.dim < 1:
             raise ValueError("dim must be >= 1 for synth-vectors")
         if self.proj_samples is not None and self.proj_samples < 1:
@@ -128,8 +126,8 @@ def _checkpoint_time(times: list[float], m: int) -> float:
     return times[min(m, len(times)) - 1]
 
 
-def _construction_rows(problem: CoresetProblem, spec: ExperimentSpec, trial: int,
-                       grid: list[int], extra_fn=None) -> list[ResultRow]:
+def _construction_rows(spec: ExperimentSpec, trial: int, grid: list[int],
+                       problem: CoresetProblem, extra_fn=None) -> list[ResultRow]:
     """Run every requested algorithm over the budget grid and collect rows."""
     rows = []
 
@@ -161,58 +159,24 @@ def _construction_rows(problem: CoresetProblem, spec: ExperimentSpec, trial: int
     return rows
 
 
-# --- experiment trial bodies ---
+# --- experiments ---
 
-def _gauss_rows(y: np.ndarray, spec: ExperimentSpec, trial: int,
-                grid: list[int]) -> list[ResultRow]:
+def _gauss_trial(y: np.ndarray):
+    """Embedded Gaussian-mean problem for observations y, with the relative
+    error of the coreset posterior variance as its ``extra`` column."""
     data = GaussianMeanData(y)
-    problem = gaussian_embed(data)
     v_exact = 1.0 / (data.n + 1)
 
     def variance_error(weights: WeightVector) -> float:
         _, v = coreset_posterior_variance(data, weights)
         return abs(v - v_exact) / v_exact
 
-    return _construction_rows(problem, spec, trial, grid, extra_fn=variance_error)
-
-
-def run_synth_gauss(spec: ExperimentSpec) -> list[ResultRow]:
-    grid = log_grid(spec.m_max)
-
-    def one_trial(trial: int) -> list[ResultRow]:
-        rng = _stream(spec.seed, trial, _STREAM_DATA)
-        mu = rng.normal()
-        y = rng.normal(mu, 1.0, size=spec.n)
-        return _gauss_rows(y, spec, trial, grid)
-
-    return _over_trials(spec, one_trial)
-
-
-def run_synth_vectors(spec: ExperimentSpec) -> list[ResultRow]:
-    grid = log_grid(spec.m_max)
-
-    def one_trial(trial: int) -> list[ResultRow]:
-        rng = _stream(spec.seed, trial, _STREAM_DATA)
-        vectors = rng.normal(size=(spec.n, spec.dim))
-        problem = build_problem(vectors)
-        return _construction_rows(problem, spec, trial, grid)
-
-    return _over_trials(spec, one_trial)
+    return gaussian_embed(data), variance_error
 
 
 def ortho_problem(n: int) -> CoresetProblem:
     """Axis-aligned construction: L_n = (1/n) e_n, so sigma = 1, ||L|| = 1/sqrt(n)."""
     return build_problem(np.eye(n) / n)
-
-
-def run_ortho(spec: ExperimentSpec) -> list[ResultRow]:
-    grid = log_grid(spec.m_max)
-    problem = ortho_problem(spec.n)
-
-    def one_trial(trial: int) -> list[ResultRow]:
-        return _construction_rows(problem, spec, trial, grid)
-
-    return _over_trials(spec, one_trial)
 
 
 def synth_regression_data(model: str, n: int, rng: np.random.Generator) -> RegressionData:
@@ -230,60 +194,56 @@ def synth_regression_data(model: str, n: int, rng: np.random.Generator) -> Regre
     return RegressionData(x, y)
 
 
-def run_regress(spec: ExperimentSpec) -> list[ResultRow]:
-    grid = log_grid(spec.m_max)
-    if spec.input_path is not None:
-        data = load_csv(spec.input_path, spec.label_col, spec.model,
-                        standardize=spec.standardize)
-    else:
-        data = synth_regression_data(spec.model, spec.n,
-                                     _stream(spec.seed, 0, _STREAM_DATA))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):   # a failed fit raises below
-            lap = laplace(spec.model, data)
-    except LaplaceNotConverged as exc:
-        raise DataError(f"Laplace fit failed: {exc}") from exc
-    samples = spec.proj_samples
-    if samples is None:
-        samples = default_sample_count(data.d + 1)
+def _trial_problems(spec: ExperimentSpec):
+    """The experiment's ``trial -> (problem, extra_fn)`` function.
 
-    def one_trial(trial: int) -> list[ResultRow]:
-        cfg = ProjectionConfig(samples, seed=_stream_seed(spec.seed, trial, _STREAM_PROJ))
-        problem = project(spec.model, data, lap, cfg)
-        return _construction_rows(problem, spec, trial, grid)
+    Work shared by all trials (the ortho problem, the regression data and
+    its Laplace fit) is done here, once per run, and so are its DataErrors.
+    """
+    if spec.experiment == "ortho":
+        problem = ortho_problem(spec.n)
+        return lambda trial: (problem, None)
 
-    return _over_trials(spec, one_trial)
+    if spec.experiment == "regress":
+        if spec.input_path is not None:
+            data = load_csv(spec.input_path, spec.label_col, spec.model,
+                            standardize=spec.standardize)
+        else:
+            data = synth_regression_data(spec.model, spec.n,
+                                         _stream(spec.seed, 0, _STREAM_DATA))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):   # a failed fit raises below
+                lap = laplace(spec.model, data)
+        except LaplaceNotConverged as exc:
+            raise DataError(f"Laplace fit failed: {exc}") from exc
+        samples = spec.proj_samples
+        if samples is None:
+            samples = default_sample_count(data.d + 1)
 
+        def projected(trial):
+            cfg = ProjectionConfig(samples, seed=_stream_seed(spec.seed, trial, _STREAM_PROJ))
+            return project(spec.model, data, lap, cfg), None
+        return projected
 
-_RUNNERS = {
-    "synth-gauss": run_synth_gauss,
-    "synth-vectors": run_synth_vectors,
-    "ortho": run_ortho,
-    "regress": run_regress,
-}
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("COREBENCH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _over_trials(spec: ExperimentSpec, one_trial) -> list[ResultRow]:
-    workers = min(_thread_cap(), spec.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one_trial, range(spec.trials)))
-    else:
-        chunks = [one_trial(t) for t in range(spec.trials)]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r.trial, r.algorithm, r.M))
-    return rows
+    def synthetic(trial):
+        rng = _stream(spec.seed, trial, _STREAM_DATA)
+        if spec.experiment == "synth-vectors":
+            return build_problem(rng.normal(size=(spec.n, spec.dim))), None
+        mu = rng.normal()            # drawn before y: the draw order fixes every row
+        return _gauss_trial(rng.normal(mu, 1.0, size=spec.n))
+    return synthetic
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    return _RUNNERS[spec.experiment](spec)
+    """Run every trial of the experiment in turn; rows in (trial, algorithm, M) order."""
+    grid = log_grid(spec.m_max)
+    trial_problem = _trial_problems(spec)
+    rows = []
+    for trial in range(spec.trials):
+        # no name holds the problem, so one trial's problem is freed before the next is built
+        rows += _construction_rows(spec, trial, grid, *trial_problem(trial))
+    rows.sort(key=lambda r: (r.trial, r.algorithm, r.M))
+    return rows
 
 
 # --- CSV input/output ---
@@ -317,39 +277,41 @@ def load_csv(path: str, label_column: str, model: str,
     (constant columns are only centered).
     """
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found "
-                            f"(columns: {', '.join(header)})")
-        label_idx = header.index(label_column)
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feature_idx:
-            raise DataError(f"{path}: no feature columns besides the label")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise DataError(f"{path}: label column {label_column!r} not found "
+                        f"(columns: {', '.join(header)})")
+    label_idx = header.index(label_column)
+    feature_idx = [i for i in range(len(header)) if i != label_idx]
+    if not feature_idx:
+        raise DataError(f"{path}: no feature columns besides the label")
 
-        xs, ys = [], []
-        for line_no, record in enumerate(reader, start=2):
-            if not record or all(not c.strip() for c in record):
-                continue
-            if len(record) != len(header):
-                raise DataError(f"{path}: row {line_no} has {len(record)} fields, "
-                                f"expected {len(header)}")
-            try:
-                values = [float(c) for c in record]
-            except ValueError:
-                bad = next(c for c in record if not _is_float(c))
-                raise DataError(f"{path}: row {line_no}: non-numeric value "
-                                f"{bad.strip()!r}") from None
-            xs.append([values[i] for i in feature_idx])
-            ys.append(values[label_idx])
+    xs, ys = [], []
+    for line_no, record in enumerate(reader, start=2):
+        if not record or all(not c.strip() for c in record):
+            continue
+        if len(record) != len(header):
+            raise DataError(f"{path}: row {line_no} has {len(record)} fields, "
+                            f"expected {len(header)}")
+        try:
+            values = [float(c) for c in record]
+        except ValueError:
+            bad = next(c for c in record if not _is_float(c))
+            raise DataError(f"{path}: row {line_no}: non-numeric value "
+                            f"{bad.strip()!r}") from None
+        xs.append([values[i] for i in feature_idx])
+        ys.append(values[label_idx])
     if not ys:
         raise DataError(f"{path}: no data rows")
 

@@ -89,7 +89,6 @@ def main(argv=None) -> int:
             label_col=getattr(args, "label_col", "y"),
             standardize=getattr(args, "standardize", False),
             proj_samples=getattr(args, "proj_samples", None),
-            out_path=args.out,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -100,8 +99,11 @@ def main(argv=None) -> int:
         print(f"corebench: data error: {exc}", file=sys.stderr)
         return 2
 
-    if spec.out_path:
-        write_csv(rows, spec.out_path)
+    if args.out:
+        try:
+            write_csv(rows, args.out)
+        except OSError as exc:
+            parser.exit(1, f"{parser.prog}: error: cannot write {args.out}: {exc.strerror}\n")
     else:
         sys.stdout.write(rows_to_csv(rows))
     return 0

@@ -10,10 +10,10 @@ from corebench.bench import (
     CSV_COLUMNS,
     DataError,
     ExperimentSpec,
-    _gauss_rows,
+    _construction_rows,
+    _gauss_trial,
     load_csv,
     log_grid,
-    ortho_problem,
     rows_to_csv,
     run_experiment,
     synth_regression_data,
@@ -62,14 +62,6 @@ class TestRowsWellFormed:
         keys = [(r.trial, r.algorithm, r.M) for r in rows]
         assert keys == sorted(keys)
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        serial = run_experiment(spec(trials=3))
-        monkeypatch.setenv("COREBENCH_THREADS", "3")
-        threaded = run_experiment(spec(trials=3))
-        strip = lambda rows: [(r.trial, r.algorithm, r.M, r.rel_error, r.size, r.extra)
-                              for r in rows]
-        assert strip(serial) == strip(threaded)
-
 
 class TestSynthGauss:
     def test_extra_column_is_variance_error(self):
@@ -81,7 +73,7 @@ class TestSynthGauss:
     def test_equal_observations_recovered_exactly(self):
         s = spec(experiment="synth-gauss", n=6, m_max=1, trials=1,
                  algorithms=("giga",))
-        rows = _gauss_rows(np.full(6, 1.7), s, 0, [1])
+        rows = _construction_rows(s, 0, [1], *_gauss_trial(np.full(6, 1.7)))
         assert rows[0].rel_error == pytest.approx(0.0, abs=1e-9)
         assert rows[0].extra == pytest.approx(0.0, abs=1e-9)
 
@@ -217,6 +209,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="nonnegative"):
             load_csv(str(path), "y", "poisson")
 
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x,y\n\xff\xfe,1\n")
+        with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text"):
+            load_csv(str(path), "y", "logistic")
+
     def test_nan_cell_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\nnan,1\n2.0,1\n")
@@ -257,6 +255,34 @@ class TestCli:
                      "--m-max", "2", "--proj-samples", "5"])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_one_line_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x,y\n\xff\xfe,1\n")
+        code = main(["regress", "--input", str(path), "--trials", "1", "--m-max", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"corebench: data error: {path}: not UTF-8 text")
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-vectors", "--n", "5", "--dim", "3", "--trials", "1",
+                  "--m-max", "3", "--seed", "-1"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "corebench: error: seed must be >= 0"
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_out_is_one_line_usage_error(self, target, tmp_path, capsys):
+        out = tmp_path if target == "directory" else tmp_path / "no" / "such" / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ortho", "--n", "8", "--m-max", "2", "--trials", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"corebench: error: cannot write {out}: ")
 
     def test_laplace_failure_is_one_line_data_error(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"

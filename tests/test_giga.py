@@ -9,7 +9,6 @@ from corebench.giga import (
     DegenerateStep,
     GigaState,
     cap_objective,
-    finalize,
     initial_state,
     run,
     select,
