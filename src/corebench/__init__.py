@@ -13,8 +13,6 @@ from .hilbert import (
     CoresetProblem,
     WeightVector,
     build_problem,
-    coreset_sum,
-    norm,
     relative_error,
     weighted_sum,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "WeightVector",
     "build_problem",
     "coreset_posterior_variance",
-    "coreset_sum",
     "fw_coreset",
     "gaussian_embed",
     "giga_finalize",
@@ -53,7 +50,6 @@ __all__ = [
     "is_coreset",
     "laplace",
     "log_likelihood_grad",
-    "norm",
     "project",
     "relative_error",
     "rnd_coreset",

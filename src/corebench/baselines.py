@@ -105,15 +105,8 @@ def fw_coreset(problem: CoresetProblem, M: int,
         diag.errors.append(float(np.linalg.norm(Lw - L)))
 
     final, diag.snapshots, diag.times, diag.stop_reason = iterate(
-        step, lambda: problem.to_original(WeightVector.from_dense(w)), M, checkpoints)
+        step, lambda: WeightVector.from_dense(w), M, checkpoints)
     return final, diag
-
-
-def _multiplicity_weights(problem: CoresetProblem, draws: np.ndarray,
-                          per_draw_weight: np.ndarray) -> WeightVector:
-    counts = np.bincount(draws, minlength=problem.n)
-    dense = counts * per_draw_weight / draws.size
-    return problem.to_original(WeightVector.from_dense(dense))
 
 
 def is_coreset(problem: CoresetProblem, M: int, seed) -> WeightVector:
@@ -150,4 +143,5 @@ def sampling_sweep(problem: CoresetProblem, grid, seed,
     else:
         draws = rng.integers(0, problem.n, size=grid[-1])
         per_draw = np.full(problem.n, float(problem.n))
-    return {m: _multiplicity_weights(problem, draws[:m], per_draw) for m in grid}
+    return {m: WeightVector.from_dense(np.bincount(draws[:m], minlength=problem.n)
+                                       * per_draw / m) for m in grid}

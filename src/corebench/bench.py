@@ -165,13 +165,15 @@ def _gauss_trial(y: np.ndarray):
     """Embedded Gaussian-mean problem for observations y, with the relative
     error of the coreset posterior variance as its ``extra`` column."""
     data = GaussianMeanData(y)
+    problem = gaussian_embed(data)
     v_exact = 1.0 / (data.n + 1)
 
     def variance_error(weights: WeightVector) -> float:
-        _, v = coreset_posterior_variance(data, weights)
+        # the posterior weighs observations, so map problem rows to input rows
+        _, v = coreset_posterior_variance(data, problem.to_original(weights))
         return abs(v - v_exact) / v_exact
 
-    return gaussian_embed(data), variance_error
+    return problem, variance_error
 
 
 def ortho_problem(n: int) -> CoresetProblem:
@@ -260,9 +262,9 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return buf.getvalue()
 
 
-def write_csv(rows: list[ResultRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+def write_csv(rows: list[ResultRow], out) -> None:
+    """Write the rows as CSV to the open text file ``out``."""
+    out.write(rows_to_csv(rows))
 
 
 def load_csv(path: str, label_column: str, model: str,
@@ -271,10 +273,10 @@ def load_csv(path: str, label_column: str, model: str,
 
     All non-label columns are treated as numeric features. Logistic labels
     may be coded {0, 1} (mapped to {-1, +1}) or {-1, +1} directly; Poisson
-    labels must be nonnegative integers. Schema problems raise DataError
-    with the offending file line number (the header is line 1). With
-    ``standardize``, features are shifted/scaled to mean 0 and variance 1
-    (constant columns are only centered).
+    labels must be nonnegative integers. Schema problems and CSV parse
+    errors raise DataError with the offending file line number (the header
+    is line 1). With ``standardize``, features are shifted/scaled to mean 0
+    and variance 1 (constant columns are only centered).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -283,9 +285,9 @@ def load_csv(path: str, label_column: str, model: str,
         raise DataError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    records = _records(csv.reader(io.StringIO(text, newline="")), path)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     header = [h.strip() for h in header]
@@ -298,7 +300,7 @@ def load_csv(path: str, label_column: str, model: str,
         raise DataError(f"{path}: no feature columns besides the label")
 
     xs, ys = [], []
-    for line_no, record in enumerate(reader, start=2):
+    for line_no, record in enumerate(records, start=2):
         if not record or all(not c.strip() for c in record):
             continue
         if len(record) != len(header):
@@ -337,6 +339,14 @@ def load_csv(path: str, label_column: str, model: str,
         return RegressionData(x, y)
     except ValueError as exc:        # e.g. a parsed "nan" cell
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _records(reader, path: str):
+    """The records of a CSV reader; a parse error becomes a DataError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _is_float(cell: str) -> bool:

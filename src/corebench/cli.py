@@ -6,13 +6,13 @@ Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .bench import (
     ALGORITHMS,
     DataError,
     ExperimentSpec,
-    rows_to_csv,
     run_experiment,
     write_csv,
 )
@@ -93,19 +93,21 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    try:
-        rows = run_experiment(spec)
-    except DataError as exc:
-        print(f"corebench: data error: {exc}", file=sys.stderr)
-        return 2
-
+    # --out is opened before the run, so a bad path costs no work; like
+    # shell redirection, a data error leaves the file empty
+    out = contextlib.nullcontext(sys.stdout)
     if args.out:
         try:
-            write_csv(rows, args.out)
+            out = open(args.out, "w", newline="")
         except OSError as exc:
             parser.exit(1, f"{parser.prog}: error: cannot write {args.out}: {exc.strerror}\n")
-    else:
-        sys.stdout.write(rows_to_csv(rows))
+    with out as fh:
+        try:
+            rows = run_experiment(spec)
+        except DataError as exc:
+            print(f"corebench: data error: {exc}", file=sys.stderr)
+            return 2
+        write_csv(rows, fh)
     return 0
 
 

@@ -115,7 +115,6 @@ class GigaDiagnostics:
     traces: list[IterationTrace] = field(default_factory=list)
     alignments: list[float] = field(default_factory=list)
     costs: list[float] = field(default_factory=list)       # J_t per step
-    sizes: list[int] = field(default_factory=list)         # ||w_t||_0 per step
     times: list[float] = field(default_factory=list)       # cumulative cpu seconds
     stop_reason: str | None = None
     snapshots: dict[int, WeightVector] = field(default_factory=dict)
@@ -247,14 +246,14 @@ def update(problem: CoresetProblem, state: GigaState,
 def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
     """Rescale weights to the original vectors and the optimal global scale.
 
-    w_n <- w_n * (||L|| / ||L_n||) * max{0, <ell(w), ell>}, with indices
-    remapped to the original input positions (undoing zero-norm drops).
+    w_n <- w_n * (||L|| / ||L_n||) * max{0, <ell(w), ell>}; indices are the
+    problem's rows.
     """
     if problem.trivial or state.t == 0:
         return WeightVector.empty()
     factor = problem.target_norm * max(0.0, state.alignment)
     dense = state.weights * (factor / problem.norms)
-    return problem.to_original(WeightVector.from_dense(dense))
+    return WeightVector.from_dense(dense)
 
 
 def run(problem: CoresetProblem, M: int, *,
@@ -279,7 +278,6 @@ def run(problem: CoresetProblem, M: int, *,
         diag.traces.append(trace)
         diag.alignments.append(state.alignment)
         diag.costs.append(state.J)
-        diag.sizes.append(int(np.count_nonzero(state.weights)))
 
     final, diag.snapshots, diag.times, diag.stop_reason = iterate(
         step, lambda: finalize(problem, state), M, checkpoints)

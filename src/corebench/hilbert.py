@@ -13,7 +13,7 @@ scale-aware tolerance guarding against catastrophic cancellation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +26,14 @@ def zero_tol(dim: int) -> float:
     return ZERO_TOL_COEFF * np.sqrt(dim)
 
 
-def norm(u: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(u, dtype=np.float64)))
-
-
 @dataclass(eq=False)
 class WeightVector:
-    """Sparse nonnegative weights over [0, N): (index, weight) pairs.
+    """Sparse nonnegative weights over the N rows of a problem: (index,
+    weight) pairs (``CoresetProblem.to_original`` maps them to input rows).
 
     Stored weights are strictly positive and indices are unique, so the
-    support size ||w||_0 equals len(indices).
+    support size ||w||_0 equals len(indices). The constructor checks this;
+    ``empty`` and ``from_dense`` hold it by construction and skip the checks.
     """
 
     indices: np.ndarray
@@ -55,14 +53,26 @@ class WeightVector:
                 raise ValueError("stored weights must be positive and finite")
 
     @classmethod
+    def _unchecked(cls, indices: np.ndarray, values: np.ndarray) -> "WeightVector":
+        """Weights from unique nonnegative int64 indices and positive finite
+        float64 values, without the constructor's checks."""
+        w = object.__new__(cls)
+        w.indices, w.values = indices, values
+        return w
+
+    @classmethod
     def empty(cls) -> "WeightVector":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0))
+        return cls._unchecked(np.empty(0, dtype=np.int64), np.empty(0))
 
     @classmethod
     def from_dense(cls, w: np.ndarray) -> "WeightVector":
+        """The positive entries of a dense weight array, in index order."""
         w = np.asarray(w, dtype=np.float64)
         idx = np.flatnonzero(w > 0)
-        return cls(idx, w[idx])
+        values = w[idx]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("stored weights must be positive and finite")
+        return cls._unchecked(idx, values)
 
     @property
     def nnz(self) -> int:
@@ -81,10 +91,10 @@ class WeightVector:
 class CoresetProblem:
     """Immutable problem instance: vectors, norms, target sum, unit versions.
 
-    Zero-norm input vectors are dropped at construction; ``kept_indices`` maps
-    each stored row back to its position in the original input, and
-    ``n_original`` records the input count. ``trivial`` marks problems whose
-    target sum has zero norm (w = 0 is optimal there).
+    Zero-norm input vectors are dropped at construction, so row n of the
+    problem is input row ``kept_indices[n]``. Weights always index the
+    problem's rows; ``to_original`` maps them to input rows. ``trivial``
+    marks problems whose target sum has zero norm (w = 0 is optimal there).
     """
 
     vectors: np.ndarray       # (N, d) kept vectors L_n
@@ -95,19 +105,13 @@ class CoresetProblem:
     unit_vectors: np.ndarray  # (N, d) ell_n
     unit_target: np.ndarray   # (d,) ell (zero vector when trivial)
     unit_scores: np.ndarray   # (N,) <ell_n, ell>
-    kept_indices: np.ndarray  # (N,) original index of each kept row
-    n_original: int
+    kept_indices: np.ndarray  # (N,) increasing input row of each kept row
     trivial: bool
-    _orig_to_kept: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         for arr in (self.vectors, self.norms, self.target, self.unit_vectors,
                     self.unit_target, self.unit_scores, self.kept_indices):
             arr.flags.writeable = False
-        lookup = np.full(self.n_original, -1, dtype=np.int64)
-        lookup[self.kept_indices] = np.arange(self.kept_indices.size)
-        lookup.flags.writeable = False
-        object.__setattr__(self, "_orig_to_kept", lookup)
 
     @property
     def n(self) -> int:
@@ -118,18 +122,9 @@ class CoresetProblem:
         return int(self.vectors.shape[1])
 
     def to_original(self, w: WeightVector) -> WeightVector:
-        """Remap problem-space indices back to the original input indexing."""
-        return WeightVector(self.kept_indices[w.indices], w.values.copy())
-
-    def to_problem(self, w: WeightVector) -> WeightVector:
-        """Remap original-input indices to problem (kept) indexing.
-
-        Entries that landed on dropped (zero-norm) inputs are discarded;
-        they contribute nothing to any weighted sum.
-        """
-        kept = self._orig_to_kept[w.indices]
-        mask = kept >= 0
-        return WeightVector(kept[mask], w.values[mask].copy())
+        """The same weights, indexed by input row instead of problem row."""
+        # kept_indices is increasing, so the mapped indices stay unique
+        return WeightVector._unchecked(self.kept_indices[w.indices], w.values.copy())
 
 
 class GramColumns:
@@ -215,8 +210,8 @@ def build_problem(vectors) -> CoresetProblem:
     """Assemble a CoresetProblem from a sequence of equal-length vectors.
 
     Raises ValueError on empty input or non-finite entries. Zero-norm rows
-    are silently dropped (they cannot affect the objective) with the index
-    remap recorded on the returned problem.
+    are silently dropped (they cannot affect the objective); the returned
+    problem's ``kept_indices`` records the input row of each kept row.
     """
     V = np.array(vectors, dtype=np.float64)
     if V.ndim == 1:
@@ -255,7 +250,6 @@ def build_problem(vectors) -> CoresetProblem:
         unit_target=unit_target,
         unit_scores=unit_vectors @ unit_target,
         kept_indices=kept_indices,
-        n_original=int(V.shape[0]),
         trivial=trivial,
     )
 
@@ -274,14 +268,9 @@ def weighted_sum(problem: CoresetProblem, w: WeightVector,
     return w.values @ mat[w.indices]
 
 
-def coreset_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
-    """weighted_sum for a weight vector expressed in original input indices."""
-    return weighted_sum(problem, problem.to_problem(w))
-
-
 def relative_error(problem: CoresetProblem, w: WeightVector) -> float:
-    """||L(w) - L|| / ||L|| for original-indexed weights w."""
-    err = float(np.linalg.norm(coreset_sum(problem, w) - problem.target))
+    """||L(w) - L|| / ||L|| for weights w over the problem's rows."""
+    err = float(np.linalg.norm(weighted_sum(problem, w) - problem.target))
     if problem.target_norm <= zero_tol(problem.dimension):
         return 0.0 if err <= zero_tol(problem.dimension) else float("inf")
     return err / problem.target_norm

@@ -260,7 +260,8 @@ def gaussian_embed(data: GaussianMeanData) -> CoresetProblem:
 
 def coreset_posterior_variance(data: GaussianMeanData,
                                w: WeightVector) -> tuple[float, float]:
-    """Closed-form weighted posterior N(sum w_n y_n / (1+W), 1 / (1+W))."""
+    """Closed-form weighted posterior N(sum w_n y_n / (1+W), 1 / (1+W)) for
+    weights w over the observations (input rows, see ``to_original``)."""
     wsum = w.total()
     wy = float(w.values @ data.y[w.indices]) if w.nnz else 0.0
     return wy / (1.0 + wsum), 1.0 / (1.0 + wsum)

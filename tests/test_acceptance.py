@@ -24,7 +24,7 @@ from corebench.giga import (
     step_size,
     update,
 )
-from corebench.hilbert import build_problem, coreset_sum, relative_error
+from corebench.hilbert import build_problem, relative_error, weighted_sum
 from corebench.models import (
     GaussianMeanData,
     ProjectionConfig,
@@ -162,7 +162,7 @@ def test_c5_algorithm_invariant_suite():
             assert state.alignment >= problem.target_norm / problem.sigma_total - 1e-12
         if state.t >= 1:
             w = finalize(problem, state)
-            Lw = coreset_sum(problem, w)
+            Lw = weighted_sum(problem, w)
             assert abs(float((Lw - problem.target) @ Lw)) \
                 <= 1e-8 * problem.target_norm ** 2
     # separately: first-iteration bound across its own fuzz batch

@@ -57,6 +57,21 @@ class TestRowsWellFormed:
             if r.algorithm == "giga":
                 assert r.rel_error <= 1.0 + 1e-9
 
+    def test_runs_build_no_checked_weight_vectors(self, monkeypatch):
+        # constructions build weights that are valid by construction; the
+        # checks run only for weights a caller passes to the constructor
+        calls = []
+        check = WeightVector.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(WeightVector, "__post_init__", counted)
+        run_experiment(spec(experiment="synth-gauss", n=6, m_max=1, trials=20))
+        run_experiment(spec())
+        assert calls == []
+
     def test_rows_sorted_by_trial_algorithm_m(self):
         rows = run_experiment(spec())
         keys = [(r.trial, r.algorithm, r.M) for r in rows]
@@ -121,8 +136,7 @@ class TestRegress:
         data = synth_regression_data("logistic", 80, np.random.default_rng(1))
         lap = laplace("logistic", data)
         problem = project("logistic", data, lap, ProjectionConfig(40, seed=0))
-        w = WeightVector(np.arange(problem.n_original),
-                         np.ones(problem.n_original))
+        w = WeightVector(np.arange(problem.n), np.ones(problem.n))
         assert relative_error(problem, w) <= 1e-6
 
     def test_poisson_deterministic_given_seed(self):
@@ -274,7 +288,12 @@ class TestCli:
             "corebench: error: seed must be >= 0"
 
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
-    def test_unwritable_out_is_one_line_usage_error(self, target, tmp_path, capsys):
+    def test_unwritable_out_is_one_line_usage_error(self, target, tmp_path,
+                                                    monkeypatch, capsys):
+        def run_experiment(spec):
+            raise AssertionError("the run started before --out was opened")
+
+        monkeypatch.setattr("corebench.cli.run_experiment", run_experiment)
         out = tmp_path if target == "directory" else tmp_path / "no" / "such" / "x.csv"
         with pytest.raises(SystemExit) as exc:
             main(["ortho", "--n", "8", "--m-max", "2", "--trials", "1",
@@ -283,6 +302,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"corebench: error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_oversized_csv_field_is_one_line_data_error(self, where, tmp_path, capsys):
+        big = '"' + "a" * 140_000 + '"'
+        path = tmp_path / "big.csv"
+        path.write_text(f"{big},y\n1.0,1\n" if where == "header"
+                        else f"x,y\n1.0,1\n{big},0\n")
+        out = tmp_path / "rows.csv"
+        code = main(["regress", "--input", str(path), "--trials", "1",
+                     "--m-max", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        line = 1 if where == "header" else 3
+        assert err.startswith(f"corebench: data error: {path}: line {line}: field larger")
+        assert out.read_text() == ""       # opened before the run, as shell ">" does
 
     def test_laplace_failure_is_one_line_data_error(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"

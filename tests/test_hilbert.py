@@ -4,15 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as nps
 
-from corebench.baselines import fw_coreset
+from corebench.baselines import fw_coreset, is_coreset, rnd_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import (
     Stop,
     WeightVector,
     build_problem,
-    coreset_sum,
     iterate,
-    norm,
     relative_error,
     weighted_sum,
 )
@@ -31,12 +29,11 @@ class TestBuildProblem:
     def test_zero_norm_row_dropped_with_remap(self):
         p = build_problem([(0.0, 0.0), (2.0, 0.0)])
         assert p.n == 1
-        assert p.n_original == 2
         np.testing.assert_array_equal(p.kept_indices, [1])
         np.testing.assert_allclose(p.target, [2.0, 0.0])
-        # remap round trip: problem index 0 is original index 1
+        # problem row 0 is input row 1
         w = p.to_original(WeightVector(np.array([0]), np.array([3.0])))
-        np.testing.assert_array_equal(w.indices, [1])
+        np.testing.assert_array_equal(w.to_dense(2), [0.0, 3.0])
 
     def test_axis_problem_constants(self):
         # four axis vectors (1/4) e_n: sigma_n = 1/N, sigma = 1, ||L|| = 1/2
@@ -72,7 +69,7 @@ class TestBuildProblem:
                 np.testing.assert_allclose(
                     np.linalg.norm(p.unit_vectors, axis=1), 1.0, atol=1e-12)
             if not p.trivial:
-                assert norm(p.unit_target) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(p.unit_target) == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_sum_dominates_target_norm(self, rng):
         # triangle inequality over 1000 fuzzed instances
@@ -174,6 +171,8 @@ class TestWeightVector:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             WeightVector(np.array([0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector.from_dense(np.array([1.0, np.inf]))
 
     def test_from_dense_drops_zeros(self):
         w = WeightVector.from_dense(np.array([0.0, 2.0, 0.0, 1.0]))
@@ -190,6 +189,38 @@ class TestErrorHelpers:
 
     def test_original_indexing_skips_dropped_rows(self):
         p = build_problem([(0.0, 0.0), (2.0, 0.0), (0.0, 3.0)])
-        w = WeightVector(np.array([0, 1, 2]), np.array([5.0, 1.0, 1.0]))
-        np.testing.assert_allclose(coreset_sum(p, w), [2.0, 3.0])
+        w = WeightVector(np.array([0, 1]), np.array([1.0, 1.0]))
+        np.testing.assert_allclose(weighted_sum(p, w), [2.0, 3.0])
         assert relative_error(p, w) == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_array_equal(p.to_original(w).indices, [1, 2])
+
+
+def _with_snapshots(final, diag):
+    return [final, *diag.snapshots.values()]
+
+
+_CONSTRUCTIONS = {
+    "giga": lambda p: _with_snapshots(*giga_run(p, 40, checkpoints=[1, 5, 40])),
+    "fw": lambda p: _with_snapshots(*fw_coreset(p, 40, checkpoints=[1, 5, 40])),
+    "is": lambda p: [is_coreset(p, 30, 0)],
+    "rnd": lambda p: [rnd_coreset(p, 30, 0)],
+    "sampling_sweep": lambda p: [w for method in ("IS", "RND")
+                                 for w in sampling_sweep(p, [1, 5, 30], 0, method).values()],
+}
+
+
+class TestIndexSpace:
+    """Every construction returns weights over the problem's rows, and
+    ``to_original`` is the one map to input rows."""
+
+    @pytest.mark.parametrize("construct", _CONSTRUCTIONS.values(), ids=_CONSTRUCTIONS.keys())
+    def test_weights_index_problem_rows(self, construct):
+        V = np.random.default_rng(4).normal(size=(12, 10))
+        V[[2, 5, 6, 9]] = 0.0          # dropped rows between kept ones
+        p = build_problem(V)
+        assert p.n == 8
+        for w in construct(p):
+            assert w.nnz and np.all(w.indices < p.n)
+            dense = p.to_original(w).to_dense(V.shape[0])
+            expected = np.linalg.norm(dense @ V - p.target) / p.target_norm
+            assert relative_error(p, w) == pytest.approx(expected, rel=1e-12, abs=1e-14)
