@@ -30,6 +30,10 @@ from .hilbert import (
     iterate,
 )
 
+# FW stops once its true residual is within this many floors (eps * sigma).
+# Its own rounding sits near 1x floor, so at 1x the test rarely fires.
+FLOOR_MULTIPLE = 4
+
 
 @dataclass
 class FwDiagnostics:
@@ -60,6 +64,13 @@ def fw_coreset(problem: CoresetProblem, M: int,
     product) and every RENORM_INTERVAL steps, the next scan recomputes proj
     with one N x d product instead, so no step does more than one. The line search uses
     direct row products, so the weights do not depend on the cache.
+
+    Every RENORM_INTERVAL steps, before it steps, the run recomputes the true
+    residual ||L - L(w)|| from the rows of the support (not the carried
+    L(w), which under-reports it near the float floor) and stops with
+    "float floor" once it is at most FLOOR_MULTIPLE * eps * sigma. Since w = 1
+    is feasible, the optimum is 0, and such a residual is rounding that no
+    further step can remove (see Jaggi, ICML 2013, on FW certificates).
     """
     diag = FwDiagnostics()
     V = problem.vectors
@@ -68,6 +79,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
     L = problem.target
     target_scores = problem.target_norm * problem.unit_scores    # <ell_n, L>
     columns = GramColumns(problem)
+    floor_resid = FLOOR_MULTIPLE * problem.floor * problem.target_norm
     w = np.zeros(problem.n)
     Lw = proj = None                                 # proj = U @ L(w_t), None: recompute
 
@@ -82,6 +94,11 @@ def fw_coreset(problem: CoresetProblem, M: int,
             Lw = scale[n_t] * V[n_t]
             proj = sigma * columns.column(n_t)
         else:
+            resync = (t - 1) % RENORM_INTERVAL == 0
+            if resync:
+                support = np.flatnonzero(w)
+                if np.linalg.norm(w[support] @ V[support] - L) <= floor_resid:
+                    raise Stop("float floor")
             resid = L - Lw
             if proj is None:
                 proj = columns.project(Lw)
@@ -89,6 +106,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
             vertex = scale[n_t] * V[n_t]
             direction = vertex - Lw
             denom = float(direction @ direction)
+            # fixed, not the floor: on sigma's scale already, it guards a zero division
             if denom <= (ZERO_TOL_COEFF * sigma) ** 2:
                 raise Stop("degenerate line search")
             gamma = min(max(float(direction @ resid) / denom, 0.0), 1.0)
@@ -96,7 +114,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
             w[n_t] += gamma * scale[n_t]
             Lw = (1.0 - gamma) * Lw + gamma * vertex
             col = columns.column(n_t)
-            if col is None or (t - 1) % RENORM_INTERVAL == 0:
+            if col is None or resync:
                 proj = None
             else:
                 proj = proj * (1.0 - gamma) + col * (gamma * sigma)

@@ -42,7 +42,9 @@ from .hilbert import (
     zero_tol,
 )
 
+# fixed, not the floor: the zetas are unit inner products, rounded at eps at any scale
 STEP_DENOM_TOL = 1e-12     # line-search denominator guard
+# fixed, not the floor: it only decides whether a clamped step warns
 CLAMP_WARN_TOL = 1e-9      # gamma outside [0,1] beyond this is suspicious
 
 
@@ -68,6 +70,7 @@ def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int) -> np.nda
     by cancellation in the 1 - <ell_n, v>^2 denominator.
     """
     den2 = np.maximum(1.0 - zv ** 2, 0.0)
+    # fixed, not the floor: 1 - zv^2 of unit vectors rounds at eps at any scale
     ok = den2 > zero_tol(dim) ** 2
     scores = np.where(ok, num / np.sqrt(np.where(ok, den2, 1.0)), 0.0)
     return np.clip(scores, -1.0, 1.0)
@@ -139,7 +142,7 @@ def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
     <d_t, d_tn> over n, where d_tn is the analogous tangent toward ell_n
     (zero-vector convention for vanishing tangents). At t = 0 this reduces
     to argmax_n <ell_n, ell>. Raises Converged when the residual norm falls
-    below zero_tol or no candidate scores positive.
+    to ``problem.floor`` or no candidate scores positive.
 
     The scan scores U @ d_t = (unit_scores - alignment * proj) / ||.|| from
     the carried projections; when ``state.proj`` is None it is recomputed
@@ -147,7 +150,7 @@ def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
     """
     resid = problem.unit_target - state.alignment * state.ell_w
     resid_norm = float(np.linalg.norm(resid))
-    if resid_norm <= zero_tol(problem.dimension):
+    if resid_norm <= problem.floor:
         raise Converged
 
     if state.proj is None:

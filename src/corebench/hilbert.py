@@ -8,6 +8,10 @@ products are absorbed into the embedding that produced the vectors.
 
 Zero-norm convention: u / ||u|| := 0 whenever ||u|| <= zero_tol(dim), with a
 scale-aware tolerance guarding against catastrophic cancellation.
+
+Float floor: summing N terms of norm sigma_n in float64 carries a rounding
+error of order eps * sigma, so no weights resolve L to a relative error
+below ``floor = eps * sigma / ||L||``. GIGA and FW stop once they reach it.
 """
 
 from __future__ import annotations
@@ -66,13 +70,13 @@ class WeightVector:
 
     @classmethod
     def from_dense(cls, w: np.ndarray) -> "WeightVector":
-        """The positive entries of a dense weight array, in index order."""
+        """The positive entries of a dense weight array, in index order.
+        Every entry must be finite: NaN would otherwise drop out unseen."""
         w = np.asarray(w, dtype=np.float64)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         idx = np.flatnonzero(w > 0)
-        values = w[idx]
-        if not np.all(np.isfinite(values)):
-            raise ValueError("stored weights must be positive and finite")
-        return cls._unchecked(idx, values)
+        return cls._unchecked(idx, w[idx])
 
     @property
     def nnz(self) -> int:
@@ -95,6 +99,8 @@ class CoresetProblem:
     problem is input row ``kept_indices[n]``. Weights always index the
     problem's rows; ``to_original`` maps them to input rows. ``trivial``
     marks problems whose target sum has zero norm (w = 0 is optimal there).
+    ``floor`` is the float64 error scale of the relative error (see the
+    module docstring).
     """
 
     vectors: np.ndarray       # (N, d) kept vectors L_n
@@ -107,6 +113,7 @@ class CoresetProblem:
     unit_scores: np.ndarray   # (N,) <ell_n, ell>
     kept_indices: np.ndarray  # (N,) increasing input row of each kept row
     trivial: bool
+    floor: float              # eps * sigma / ||L||, 0 when trivial
 
     def __post_init__(self):
         for arr in (self.vectors, self.norms, self.target, self.unit_vectors,
@@ -222,6 +229,7 @@ def build_problem(vectors) -> CoresetProblem:
         raise ValueError("invalid vector: non-finite entry")
 
     all_norms = np.linalg.norm(V, axis=1)
+    # fixed, not the floor: the floor is computed from the rows kept here
     tol = zero_tol(V.shape[1])
     keep = all_norms > tol
     kept_indices = np.flatnonzero(keep)
@@ -251,6 +259,7 @@ def build_problem(vectors) -> CoresetProblem:
         unit_scores=unit_vectors @ unit_target,
         kept_indices=kept_indices,
         trivial=trivial,
+        floor=0.0 if trivial else float(np.finfo(np.float64).eps * sigma_total / target_norm),
     )
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .hilbert import CoresetProblem, WeightVector, build_problem
 
@@ -155,6 +154,8 @@ def log_likelihood_grad(model: str, Z: np.ndarray, y: np.ndarray,
     logistic: y_n s(-y_n u_n) z_n; poisson with rate lam(u) = log(1 + e^u):
     (y_n / lam - 1) s(u_n) z_n. Both are overflow-safe for |u| up to ~500.
     """
+    from scipy.special import expit    # here, so runs without regression never load scipy
+
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     u = Z @ theta
     if model == "logistic":
@@ -171,6 +172,8 @@ def log_likelihood_grad(model: str, Z: np.ndarray, y: np.ndarray,
 
 def _curvature(model: str, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     """c_n >= 0 with per-datum Hessian -c_n z_n z_n^T."""
+    from scipy.special import expit
+
     if model == "logistic":
         return expit(u) * expit(-u)
     if model == "poisson":

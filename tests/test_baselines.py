@@ -66,6 +66,16 @@ class TestFrankWolfe:
         assert diag.stop_reason == "degenerate line search"
         assert w.nnz == 1
 
+    def test_stops_at_the_float_floor(self):
+        # synth-vectors at a small shape: FW reaches rounding long before M
+        p = build_problem(np.random.default_rng(11).normal(size=(2000, 20)))
+        M = 500
+        w, diag = fw_coreset(p, M)
+        assert diag.stop_reason == "float floor"
+        assert len(diag.selected) < M
+        assert relative_error(p, w) <= 4 * p.floor
+        assert w.nnz <= len(diag.selected)
+
 
 class TestAxisProblemFormulas:
     """Axis-aligned dataset: closed-form errors for all constructions."""

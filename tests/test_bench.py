@@ -1,6 +1,9 @@
 import csv
 import io
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +74,21 @@ class TestRowsWellFormed:
         run_experiment(spec(experiment="synth-gauss", n=6, m_max=1, trials=20))
         run_experiment(spec())
         assert calls == []
+
+    def test_synthetic_run_loads_no_scipy(self, tmp_path):
+        # only regression calls scipy's expit; a fresh process shows what
+        # importing the CLI and running synth-vectors loads
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                "from corebench.cli import main\n"
+                "main(['synth-vectors', '--n', '40', '--dim', '3', '--trials', '1',"
+                " '--m-max', '4', '--out', sys.argv[1]])\n"
+                "print('scipy' in sys.modules)\n")
+        out = tmp_path / "rows.csv"
+        done = subprocess.run([sys.executable, "-c", code, str(out)],
+                              capture_output=True, text=True, check=True)
+        assert out.read_text().startswith(",".join(CSV_COLUMNS))
+        assert done.stdout.strip() == "False"
 
     def test_rows_sorted_by_trial_algorithm_m(self):
         rows = run_experiment(spec())

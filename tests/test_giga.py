@@ -288,6 +288,14 @@ class TestRun:
             w, _ = run(p, m)
             assert w.nnz <= m
 
+    def test_converges_at_the_float_floor(self):
+        # synth-vectors at a small shape: the error decays geometrically
+        # until rounding, and the run stops there, not at a fixed tolerance
+        p = build_problem(np.random.default_rng(11).normal(size=(2000, 20)))
+        w, diag = run(p, 500)
+        assert diag.stop_reason == "converged"
+        assert relative_error(p, w) <= 2 * p.floor
+
     def test_snapshots_match_fresh_runs(self, rng):
         p = random_problem(rng, max_n=50, max_dim=8)
         _, diag = run(p, 12, checkpoints=[1, 3, 12])

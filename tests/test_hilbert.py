@@ -71,6 +71,12 @@ class TestBuildProblem:
             if not p.trivial:
                 assert np.linalg.norm(p.unit_target) == pytest.approx(1.0, abs=1e-12)
 
+    def test_floor_is_float_error_scale_of_relative_error(self, rng):
+        p = build_problem(rng.normal(size=(50, 4)))
+        assert p.floor == np.finfo(np.float64).eps * p.sigma_total / p.target_norm
+        assert build_problem([(1.0, 0.0), (-1.0, 0.0)]).floor == 0.0
+        assert build_problem([(0.0, 0.0)]).floor == 0.0
+
     def test_norm_sum_dominates_target_norm(self, rng):
         # triangle inequality over 1000 fuzzed instances
         for _ in range(1000):
@@ -173,6 +179,8 @@ class TestWeightVector:
             WeightVector(np.array([0]), np.array([0.0]))
         with pytest.raises(ValueError, match="finite"):
             WeightVector.from_dense(np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector.from_dense(np.array([np.nan, 1.0]))
 
     def test_from_dense_drops_zeros(self):
         w = WeightVector.from_dense(np.array([0.0, 2.0, 0.0, 1.0]))

@@ -14,6 +14,10 @@ from corebench.hilbert import RENORM_INTERVAL, GramColumns, build_problem, relat
 
 MARGIN = 1e-9
 STEPS = 3 * RENORM_INTERVAL
+# GIGA's scores divide by the residual norm r, so they carry rounding of a few
+# eps / r (at most 3.3 eps / r measured on these problems); near the float
+# floor that exceeds MARGIN, and the picks there are set by rounding
+SCORE_ROUNDING = 8 * np.finfo(np.float64).eps
 
 
 def tall_problem(rng):
@@ -34,8 +38,9 @@ def reference_giga_picks(problem, M):
     """GIGA picks scored by cap_objective from fresh products at every step.
 
     The state carries no projections, so update() moves the iterate exactly
-    as in a cached run; the list ends before the first step whose top-two
-    margin is MARGIN or less, or where the run stops.
+    as in a cached run; the list ends where the run stops (the residual
+    norm r at ``problem.floor``), or before the first step whose top-two
+    margin is at most MARGIN or the scores' rounding SCORE_ROUNDING / r.
     """
     state = giga.GigaState(t=0, weights=np.zeros(problem.n),
                            ell_w=np.zeros(problem.dimension), alignment=0.0, J=1.0)
@@ -43,11 +48,12 @@ def reference_giga_picks(problem, M):
     for _ in range(M):
         resid = problem.unit_target - state.alignment * state.ell_w
         resid_norm = float(np.linalg.norm(resid))
-        if resid_norm <= giga.zero_tol(problem.dimension):
+        if resid_norm <= problem.floor:
             break
         scores = giga.cap_objective(problem.unit_vectors, resid / resid_norm, state.ell_w)
         n_t = int(np.argmax(scores))
-        if top_two_margin(scores) <= MARGIN or scores[n_t] <= 0.0:
+        margin = max(MARGIN, SCORE_ROUNDING / resid_norm)
+        if top_two_margin(scores) <= margin or scores[n_t] <= 0.0:
             break
         trace = giga.IterationTrace(
             n_t=n_t, score=float(scores[n_t]),
