@@ -9,6 +9,11 @@ prints the columns ``trial,algorithm,M,rel_error,size`` of each, under a
 ``# <arguments>`` line. Timing and the ``extra`` column are left out. A
 refactor keeps the contract when ``diff`` of this output from two checkouts
 is empty. The package is imported from this checkout's ``src/``.
+
+Rows at the float floor are byte-stable only on the same BLAS build and
+thread count: the synth-vectors rows with ``rel_error`` at or below about
+1e-13 (GIGA's sizes there and the FW rows alike) are set by float rounding
+in the last steps, so a different BLAS can change them with identical code.
 """
 
 import csv

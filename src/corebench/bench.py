@@ -38,6 +38,7 @@ from .models import (
     RegressionData,
     coreset_posterior_variance,
     default_sample_count,
+    expit,
     gaussian_embed,
     laplace,
     project,
@@ -184,7 +185,6 @@ def synth_regression_data(model: str, n: int, rng: np.random.Generator) -> Regre
     """Synthetic regression draws: logistic has x in R^2 and true parameter
     [3, 3, 0]; Poisson has x in R^1 and true parameter [1, 0]."""
     if model == "logistic":
-        from scipy.special import expit    # here, so runs without regression never load scipy
         x = rng.normal(size=(n, 2))
         u = x @ np.array([3.0, 3.0])          # intercept is 0
         y = np.where(rng.random(n) < expit(u), 1.0, -1.0)

@@ -31,6 +31,17 @@ MODELS = ("gaussian", "logistic", "poisson")
 _TINY = np.finfo(np.float64).tiny
 
 
+def expit(u):
+    """The logistic sigmoid 1 / (1 + e^-u), from scipy.special.
+
+    scipy is imported here, on the first call, so runs without regression
+    never load it.
+    """
+    from scipy.special import expit as scipy_expit
+
+    return scipy_expit(u)
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMeanData:
     """Observations y_n ~ N(mu, 1) with prior mu ~ N(0, 1)."""
@@ -154,8 +165,6 @@ def log_likelihood_grad(model: str, Z: np.ndarray, y: np.ndarray,
     logistic: y_n s(-y_n u_n) z_n; poisson with rate lam(u) = log(1 + e^u):
     (y_n / lam - 1) s(u_n) z_n. Both are overflow-safe for |u| up to ~500.
     """
-    from scipy.special import expit    # here, so runs without regression never load scipy
-
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     u = Z @ theta
     if model == "logistic":
@@ -172,8 +181,6 @@ def log_likelihood_grad(model: str, Z: np.ndarray, y: np.ndarray,
 
 def _curvature(model: str, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     """c_n >= 0 with per-datum Hessian -c_n z_n z_n^T."""
-    from scipy.special import expit
-
     if model == "logistic":
         return expit(u) * expit(-u)
     if model == "poisson":

@@ -16,7 +16,9 @@ MARGIN = 1e-9
 STEPS = 3 * RENORM_INTERVAL
 # GIGA's scores divide by the residual norm r, so they carry rounding of a few
 # eps / r (at most 3.3 eps / r measured on these problems); near the float
-# floor that exceeds MARGIN, and the picks there are set by rounding
+# floor that exceeds MARGIN, and the picks there are set by rounding. The
+# wider margin applies only below zero_tol(d), where GIGA used to stop, so
+# every pick above it is compared at MARGIN.
 SCORE_ROUNDING = 8 * np.finfo(np.float64).eps
 
 
@@ -40,7 +42,8 @@ def reference_giga_picks(problem, M):
     The state carries no projections, so update() moves the iterate exactly
     as in a cached run; the list ends where the run stops (the residual
     norm r at ``problem.floor``), or before the first step whose top-two
-    margin is at most MARGIN or the scores' rounding SCORE_ROUNDING / r.
+    margin is at most MARGIN, or, once r is at most zero_tol(d), at most
+    the scores' rounding SCORE_ROUNDING / r.
     """
     state = giga.GigaState(t=0, weights=np.zeros(problem.n),
                            ell_w=np.zeros(problem.dimension), alignment=0.0, J=1.0)
@@ -52,7 +55,10 @@ def reference_giga_picks(problem, M):
             break
         scores = giga.cap_objective(problem.unit_vectors, resid / resid_norm, state.ell_w)
         n_t = int(np.argmax(scores))
-        margin = max(MARGIN, SCORE_ROUNDING / resid_norm)
+        if resid_norm > giga.zero_tol(problem.dimension):
+            margin = MARGIN
+        else:
+            margin = max(MARGIN, SCORE_ROUNDING / resid_norm)
         if top_two_margin(scores) <= margin or scores[n_t] <= 0.0:
             break
         trace = giga.IterationTrace(
