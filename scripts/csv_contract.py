@@ -14,6 +14,9 @@ Rows at the float floor are byte-stable only on the same BLAS build and
 thread count: the synth-vectors rows with ``rel_error`` at or below about
 1e-13 (GIGA's sizes there and the FW rows alike) are set by float rounding
 in the last steps, so a different BLAS can change them with identical code.
+In the same way the regress rows depend on numpy's ``exp`` build and the CPU
+features it dispatches on: the sigmoid uses ``np.exp``, whose SIMD loops
+can round the last bit differently from libm's.
 """
 
 import csv

@@ -39,7 +39,9 @@ FLOOR_MULTIPLE = 4
 class FwDiagnostics:
     selected: list[int] = field(default_factory=list)
     gammas: list[float] = field(default_factory=list)
-    errors: list[float] = field(default_factory=list)      # ||L(w_t) - L|| per step
+    # ||Lw - L|| per step from the carried iterate Lw, not recomputed from w:
+    # near the float floor it can read 10x below the true residual
+    errors: list[float] = field(default_factory=list)
     times: list[float] = field(default_factory=list)       # cumulative cpu seconds
     stop_reason: str | None = None
     snapshots: dict[int, WeightVector] = field(default_factory=dict)

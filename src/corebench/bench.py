@@ -88,6 +88,8 @@ class ExperimentSpec:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"duplicate algorithms: {','.join(self.algorithms)}")
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,13 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def expit(u):
-    """The logistic sigmoid 1 / (1 + e^-u), from scipy.special.
+    """The logistic sigmoid 1 / (1 + e^-u), elementwise.
 
-    scipy is imported here, on the first call, so runs without regression
-    never load it.
+    For u below about -709.78, e^-u overflows to inf and the result is 0;
+    that overflow is exact in the limit, so it is silenced, not warned about.
     """
-    from scipy.special import expit as scipy_expit
-
-    return scipy_expit(u)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
 
 
 @dataclass(frozen=True, eq=False)

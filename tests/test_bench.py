@@ -75,17 +75,21 @@ class TestRowsWellFormed:
         run_experiment(spec())
         assert calls == []
 
-    def test_synthetic_run_loads_no_scipy(self, tmp_path):
-        # only regression calls scipy's expit; a fresh process shows what
-        # importing the CLI and running synth-vectors loads
+    @pytest.mark.parametrize("argv", [
+        ["synth-vectors", "--n", "40", "--dim", "3"],
+        ["regress", "--model", "logistic", "--n", "40", "--proj-samples", "3"],
+        ["regress", "--model", "poisson", "--n", "40", "--proj-samples", "3"],
+    ], ids=["synth-vectors", "regress-logistic", "regress-poisson"])
+    def test_synthetic_run_loads_no_scipy(self, argv, tmp_path):
+        # numpy is the only runtime dependency; a fresh process shows what
+        # importing the CLI and running an experiment loads
         src = Path(__file__).resolve().parent.parent / "src"
         code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
                 "from corebench.cli import main\n"
-                "main(['synth-vectors', '--n', '40', '--dim', '3', '--trials', '1',"
-                " '--m-max', '4', '--out', sys.argv[1]])\n"
+                "main(sys.argv[2:] + ['--trials', '1', '--m-max', '4', '--out', sys.argv[1]])\n"
                 "print('scipy' in sys.modules)\n")
         out = tmp_path / "rows.csv"
-        done = subprocess.run([sys.executable, "-c", code, str(out)],
+        done = subprocess.run([sys.executable, "-c", code, str(out), *argv],
                               capture_output=True, text=True, check=True)
         assert out.read_text().startswith(",".join(CSV_COLUMNS))
         assert done.stdout.strip() == "False"
@@ -280,6 +284,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["ortho", "--use-captree"])
         assert exc.value.code == 1
+
+    def test_duplicate_algorithm_is_one_line_usage_error(self, capsys):
+        # a repeated name would run that construction again and print its
+        # rows twice
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-gauss", "--trials", "1", "--algs", "giga,giga"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "corebench: error: duplicate algorithms: giga,giga"
 
     def test_data_error_is_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"

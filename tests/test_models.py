@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from corebench.models import (
     LaplaceNotConverged,
     ProjectionConfig,
     RegressionData,
+    _curvature,
     coreset_posterior_variance,
     default_sample_count,
+    expit,
     gaussian_embed,
     laplace,
     log_likelihood,
@@ -79,12 +83,16 @@ class TestGradients:
         np.testing.assert_allclose(g, 0.0, atol=1e-100)
 
     def test_overflow_safe_at_extreme_activations(self):
+        # past exp's float64 limit (u = 709.78) e^-u overflows; the sigmoid
+        # saturates to 0 or 1 without a warning
         z = np.array([[1.0, 1.0]])
-        for model, y in (("logistic", 1.0), ("poisson", 3.0)):
-            for sign in (-1.0, 1.0):
-                theta = np.array([sign * 500.0, 0.0])
-                g = log_likelihood_grad(model, z, np.array([y]), theta)
-                assert np.all(np.isfinite(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model, y in (("logistic", 1.0), ("poisson", 3.0)):
+                for u in (-800.0, -500.0, 500.0, 800.0):
+                    g = log_likelihood_grad(model, z, np.array([y]), np.array([u, 0.0]))
+                    c = _curvature(model, np.array([y]), np.array([u]))
+                    assert np.all(np.isfinite(g)) and np.all(np.isfinite(c))
 
     @pytest.mark.parametrize("model", ["logistic", "poisson"])
     def test_matches_central_differences(self, model, rng):
@@ -108,6 +116,19 @@ class TestGradients:
                          - log_likelihood(model, Z, y, theta - e)) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-6,
                                        atol=1e-6 * max(1.0, np.abs(grad).max()))
+
+
+class TestExpit:
+    def test_matches_scipy_within_4_ulp(self):
+        from scipy.special import expit as reference
+
+        rng = np.random.default_rng(8)
+        scales = np.geomspace(1.0, 800.0, 8)
+        u = (rng.standard_normal((scales.size, 125_000)) * scales[:, None]).ravel()
+        want = reference(u)
+        assert np.all(np.abs(expit(u) - want) <= 4 * np.spacing(want))
+        special = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan])
+        np.testing.assert_array_equal(expit(special), reference(special))
 
 
 class TestLaplace:
