@@ -24,7 +24,7 @@ from .hilbert import (
     RENORM_INTERVAL,
     ZERO_TOL_COEFF,
     CoresetProblem,
-    GramColumns,
+    Projections,
     Stop,
     WeightVector,
     iterate,
@@ -58,14 +58,11 @@ def fw_coreset(problem: CoresetProblem, M: int,
     to [0, 1]. The iterate L(w_t) is cached and updated incrementally.
 
     Since scale_n <V_n, L - L(w)> = sigma <ell_n, L - L(w)>, the scan is
-    argmax_n (||L|| unit_scores_n - proj_n) over the carried projections
-    proj = U @ L(w_t), which a step moves as
-    proj <- (1 - gamma) proj + gamma sigma U @ ell_{n_t} with a Gram column
-    from a ``GramColumns`` cache of at most d columns. When the column is
-    not available (the cache is full, or the step already did its one
-    product) and every RENORM_INTERVAL steps, the next scan recomputes proj
-    with one N x d product instead, so no step does more than one. The line search uses
-    direct row products, so the weights do not depend on the cache.
+    argmax_n (||L|| unit_scores_n - (U @ L(w_t))_n) over projections that a
+    ``hilbert.Projections`` carrier holds from step to step, moving them as
+    L(w) <- (1 - gamma) L(w) + gamma sigma ell_{n_t} and resyncing every
+    RENORM_INTERVAL steps. The line search uses direct row products, so the
+    weights do not depend on the carried projections.
 
     Every RENORM_INTERVAL steps, before it steps, the run recomputes the true
     residual ||L - L(w)|| from the rows of the support (not the carried
@@ -80,13 +77,13 @@ def fw_coreset(problem: CoresetProblem, M: int,
     scale = sigma / problem.norms                    # vertex n is scale[n] * V[n]
     L = problem.target
     target_scores = problem.target_norm * problem.unit_scores    # <ell_n, L>
-    columns = GramColumns(problem)
+    scan = Projections(problem)                      # of U @ L(w_t)
     floor_resid = FLOOR_MULTIPLE * problem.floor * problem.target_norm
     w = np.zeros(problem.n)
-    Lw = proj = None                                 # proj = U @ L(w_t), None: recompute
+    Lw = None
 
     def step(t):
-        nonlocal w, Lw, proj
+        nonlocal w, Lw
         if t == 1:
             if problem.trivial:
                 raise Stop("trivial")
@@ -94,7 +91,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
             gamma = 1.0
             w[n_t] = scale[n_t]
             Lw = scale[n_t] * V[n_t]
-            proj = sigma * columns.column(n_t)
+            scan.move(n_t, 0.0, sigma)
         else:
             resync = (t - 1) % RENORM_INTERVAL == 0
             if resync:
@@ -102,9 +99,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
                 if np.linalg.norm(w[support] @ V[support] - L) <= floor_resid:
                     raise Stop("float floor")
             resid = L - Lw
-            if proj is None:
-                proj = columns.project(Lw)
-            n_t = int(np.argmax(target_scores - proj))
+            n_t = int(np.argmax(target_scores - scan.of(Lw)))
             vertex = scale[n_t] * V[n_t]
             direction = vertex - Lw
             denom = float(direction @ direction)
@@ -115,11 +110,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
             w *= 1.0 - gamma
             w[n_t] += gamma * scale[n_t]
             Lw = (1.0 - gamma) * Lw + gamma * vertex
-            col = columns.column(n_t)
-            if col is None or resync:
-                proj = None
-            else:
-                proj = proj * (1.0 - gamma) + col * (gamma * sigma)
+            scan.move(n_t, 1.0 - gamma, gamma * sigma, drop=resync)
         diag.selected.append(n_t)
         diag.gammas.append(gamma)
         diag.errors.append(float(np.linalg.norm(Lw - L)))

@@ -85,6 +85,8 @@ class ExperimentSpec:
             raise ValueError("dim must be >= 1 for synth-vectors")
         if self.proj_samples is not None and self.proj_samples < 1:
             raise ValueError("proj_samples must be >= 1")
+        if not self.algorithms:
+            raise ValueError(f"no algorithms selected; choose from {','.join(ALGORITHMS)}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -103,13 +105,13 @@ class ResultRow:
     extra: float | None = None
 
 
-def log_grid(m_max: int, points: int = 20) -> list[int]:
-    """Strictly increasing log-spaced integer budgets from 1 to m_max."""
+def log_grid(m_max: int) -> list[int]:
+    """Strictly increasing log-spaced integer budgets from 1 to m_max (at most 20)."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if m_max == 1:
         return [1]
-    vals = np.unique(np.round(np.geomspace(1.0, m_max, points)).astype(int))
+    vals = np.unique(np.round(np.geomspace(1.0, m_max, 20)).astype(int))
     return sorted(set(vals[(vals >= 1) & (vals <= m_max)].tolist()) | {1, m_max})
 
 

@@ -48,15 +48,15 @@ class CapNode:
         return self.children is None
 
 
-def build(unit_vectors: np.ndarray, leaf_size: int = LEAF_SIZE) -> CapNode:
+def build(unit_vectors: np.ndarray) -> CapNode:
     """Build a cap-tree over rows of ``unit_vectors`` (all unit norm)."""
     U = np.asarray(unit_vectors, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] == 0:
         raise ValueError("cap-tree needs at least one vector")
-    return _build_node(U, np.arange(U.shape[0]), leaf_size)
+    return _build_node(U, np.arange(U.shape[0]))
 
 
-def _build_node(U: np.ndarray, ids: np.ndarray, leaf_size: int) -> CapNode:
+def _build_node(U: np.ndarray, ids: np.ndarray) -> CapNode:
     sub = U[ids]
     mean = sub.mean(axis=0)
     mean_norm = np.linalg.norm(mean)
@@ -76,7 +76,7 @@ def _build_node(U: np.ndarray, ids: np.ndarray, leaf_size: int) -> CapNode:
         representative=int(ids[rep_local]),
         rep_vector=U[ids[rep_local]],
     )
-    if ids.size <= leaf_size:
+    if ids.size <= LEAF_SIZE:
         node.indices = ids
         node.vectors = sub
         return node
@@ -88,8 +88,8 @@ def _build_node(U: np.ndarray, ids: np.ndarray, leaf_size: int) -> CapNode:
     order = np.argsort(-t, kind="stable")   # nearer pole a first
     half = ids.size // 2
     node.children = (
-        _build_node(U, ids[order[:half]], leaf_size),
-        _build_node(U, ids[order[half:]], leaf_size),
+        _build_node(U, ids[order[:half]]),
+        _build_node(U, ids[order[half:]]),
     )
     return node
 

@@ -70,11 +70,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    algs = tuple(a.strip() for a in args.algs.split(",") if a.strip())
-    bad = set(algs) - set(ALGORITHMS)
-    if bad or not algs:
-        parser.error(f"--algs must be a subset of {','.join(ALGORITHMS)}")
-
     try:
         spec = ExperimentSpec(
             experiment=args.experiment,
@@ -83,7 +78,7 @@ def main(argv=None) -> int:
             m_max=args.m_max,
             trials=args.trials,
             seed=args.seed,
-            algorithms=algs,
+            algorithms=tuple(a.strip() for a in args.algs.split(",") if a.strip()),
             model=getattr(args, "model", "logistic"),
             input_path=getattr(args, "input", None),
             label_col=getattr(args, "label_col", "y"),

@@ -16,13 +16,8 @@ the problem's kept indexing and sparsified only on output.
 The selection scan needs <ell_n, d_t> and <ell_n, ell(w_t)> for every n.
 Since d_t = (ell - <ell(w_t), ell> ell(w_t)) / ||.||, both follow from the
 constant scores U @ ell (``problem.unit_scores``) and the projections
-proj = U @ ell(w_t), which the state carries. A step moves proj with the
-Gram column U @ ell_{n_t} from a per-run ``GramColumns`` cache that holds
-at most d columns. When the column is not available (the cache is full, or
-the step already did its one product) and every RENORM_INTERVAL steps,
-proj is dropped and the next scan recomputes it with one N x d product. So
-a step on a cached row is O(N), and no step does more than one N x d
-product.
+U @ ell(w_t), which the state's ``hilbert.Projections`` carrier holds from
+step to step and resyncs every RENORM_INTERVAL steps.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ import numpy as np
 from .hilbert import (
     RENORM_INTERVAL,
     CoresetProblem,
-    GramColumns,
+    Projections,
     Stop,
     WeightVector,
     iterate,
@@ -87,17 +82,19 @@ def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
 class GigaState:
     """Iterate after t steps: weights (normalized coordinates), cached unit
     iterate ell(w_t), its alignment <ell(w_t), ell>, the squared residual
-    J_t = ||ell - alignment * ell(w_t)||^2, the projections
-    proj = U @ ell(w_t) (None: the next ``select`` recomputes them) and the
-    run's Gram-column cache (None: projections are not carried)."""
+    J_t = ||ell - alignment * ell(w_t)||^2 and the carrier of the
+    projections U @ ell(w_t) (None: ``select`` gives the state one).
+
+    States of one run share their carrier: ``update`` moves the projections
+    of its input state to the new iterate, so only the latest state of a run
+    may be passed to ``select``."""
 
     t: int
     weights: np.ndarray
     ell_w: np.ndarray
     alignment: float
     J: float
-    proj: np.ndarray | None = None
-    columns: GramColumns | None = None
+    scan: Projections | None = None
 
 
 @dataclass
@@ -130,8 +127,7 @@ def initial_state(problem: CoresetProblem) -> GigaState:
         ell_w=np.zeros(problem.dimension),
         alignment=0.0,
         J=1.0,
-        proj=np.zeros(problem.n),
-        columns=GramColumns(problem),
+        scan=Projections(problem),
     )
 
 
@@ -144,20 +140,19 @@ def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
     to argmax_n <ell_n, ell>. Raises Converged when the residual norm falls
     to ``problem.floor`` or no candidate scores positive.
 
-    The scan scores U @ d_t = (unit_scores - alignment * proj) / ||.|| from
-    the carried projections; when ``state.proj`` is None it is recomputed
-    (one N x d product) and stored on the state.
+    The scan scores U @ d_t = (unit_scores - alignment * U @ ell(w)) / ||.||
+    from the projections of ``state.scan``.
     """
     resid = problem.unit_target - state.alignment * state.ell_w
     resid_norm = float(np.linalg.norm(resid))
     if resid_norm <= problem.floor:
         raise Converged
 
-    if state.proj is None:
-        state.proj = (problem.unit_vectors @ state.ell_w if state.columns is None
-                      else state.columns.project(state.ell_w))
-    num = (problem.unit_scores - state.alignment * state.proj) / resid_norm
-    scores = objective_from_products(num, state.proj, problem.dimension)
+    if state.scan is None:
+        state.scan = Projections(problem, zero=False)
+    proj = state.scan.of(state.ell_w)
+    num = (problem.unit_scores - state.alignment * proj) / resid_norm
+    scores = objective_from_products(num, proj, problem.dimension)
     n_t = int(np.argmax(scores))        # ties break to the lowest index
     score = float(scores[n_t])
     if score <= 0.0:
@@ -202,10 +197,8 @@ def update(problem: CoresetProblem, state: GigaState,
     """Move along the geodesic and renormalize both the cached iterate and
     the weights by the same norm.
 
-    The projections follow as proj <- ((1 - gamma) proj + gamma U @ ell_{n_t})
-    / norm with the Gram column from the cache; they are dropped (None) when
-    the column is not available and every RENORM_INTERVAL steps. Weights
-    and the iterate never depend on the projections.
+    The carried projections follow the same move and are dropped every
+    RENORM_INTERVAL steps. Weights and the iterate never depend on them.
     """
     g = trace.gamma
     if not (0.0 <= g <= 1.0):
@@ -226,12 +219,8 @@ def update(problem: CoresetProblem, state: GigaState,
         ell_w = ell_w / drift
         weights = weights / drift
 
-    col = None
-    if state.columns is not None and state.proj is not None:
-        col = state.columns.column(trace.n_t)
-    proj = None
-    if col is not None and not resync:
-        proj = state.proj * ((1.0 - g) / nrm) + col * (g / nrm)
+    if state.scan is not None:
+        state.scan.move(trace.n_t, (1.0 - g) / nrm, g / nrm, drop=resync)
 
     alignment = float(ell_w @ problem.unit_target)
     resid = problem.unit_target - alignment * ell_w
@@ -241,8 +230,7 @@ def update(problem: CoresetProblem, state: GigaState,
         ell_w=ell_w,
         alignment=alignment,
         J=float(resid @ resid),
-        proj=proj,
-        columns=state.columns,
+        scan=state.scan,
     )
 
 

@@ -134,39 +134,47 @@ class CoresetProblem:
         return WeightVector._unchecked(self.kept_indices[w.indices], w.values.copy())
 
 
-class GramColumns:
-    """Columns ``U @ ell_n`` of the unit Gram matrix, cached for one
-    construction run (``U`` is ``problem.unit_vectors``).
+class Projections:
+    """Projections ``U @ x`` of a greedy scan's iterate x, carried from step
+    to step of one construction run (``U`` is ``problem.unit_vectors``).
 
-    Greedy scans carry projections ``U @ x`` of their iterate x from step to
-    step; moving x toward ell_n then needs only column n. At most
-    ``problem.dimension`` columns are kept, so the cache never holds more
-    floats than ``U`` itself. A step does at most one N x d product: once
-    ``project`` has run, the next ``column`` call computes no new column.
+    Moving x to ``a * x + b * ell_n`` moves the values to
+    ``values * a + col * b`` with the Gram column ``col = U @ ell_n``: O(N)
+    instead of an N x d product. At most ``problem.dimension`` columns are
+    cached, no more floats than ``U`` holds, and a step does at most one
+    N x d product. Without its column, or on the caller's resync, a move
+    drops the values and the next ``of`` recomputes them. The values start
+    as those of x = 0, or dropped with ``zero=False``.
     """
 
-    def __init__(self, problem: CoresetProblem):
+    def __init__(self, problem: CoresetProblem, zero: bool = True):
         self._unit = problem.unit_vectors
         self._capacity = problem.dimension
         self._columns: dict[int, np.ndarray] = {}
-        self._spent = False
+        self._values = np.zeros(problem.n) if zero else None
+        self._spent = False           # this step has done its one product
 
     def __len__(self) -> int:
         return len(self._columns)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """``U @ x`` from one product, which uses up the current step."""
-        self._spent = True
-        return self._unit @ x
+    def of(self, x: np.ndarray) -> np.ndarray:
+        """``U @ x``: the carried values, or one product if they were dropped."""
+        if self._values is None:
+            self._values = self._unit @ x
+            self._spent = True
+        return self._values
 
-    def column(self, n: int) -> np.ndarray | None:
-        """Column n, computed when not cached, there is room and the step
-        has done no product yet; None otherwise. Ends the step."""
+    def move(self, n: int, a: float, b: float, drop: bool = False) -> None:
+        """Follow ``x <- a * x + b * ell_n`` and end the step; column n is
+        computed if not cached, there is room and the step has no product."""
         col = self._columns.get(n)
         if col is None and not self._spent and len(self._columns) < self._capacity:
             col = self._columns[n] = self._unit @ self._unit[n]
         self._spent = False
-        return col
+        if col is None or drop or self._values is None:
+            self._values = None
+        else:
+            self._values = self._values * a + col * b
 
 
 class Stop(Exception):
@@ -263,23 +271,18 @@ def build_problem(vectors) -> CoresetProblem:
     )
 
 
-def weighted_sum(problem: CoresetProblem, w: WeightVector,
-                 normalized: bool = False) -> np.ndarray:
-    """Compute sum_n w_n L_n (or sum_n w_n ell_n with ``normalized``).
-
-    Indices refer to the problem's kept rows; cost is O(||w||_0 * dim).
-    """
+def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
+    """sum_n w_n L_n over the problem's kept rows, in O(||w||_0 * dim)."""
     if w.nnz == 0:
         return np.zeros(problem.dimension)
     if np.any(w.indices >= problem.n):
         raise IndexError("weight index out of range for problem")
-    mat = problem.unit_vectors if normalized else problem.vectors
-    return w.values @ mat[w.indices]
+    return w.values @ problem.vectors[w.indices]
 
 
 def relative_error(problem: CoresetProblem, w: WeightVector) -> float:
     """||L(w) - L|| / ||L|| for weights w over the problem's rows."""
     err = float(np.linalg.norm(weighted_sum(problem, w) - problem.target))
-    if problem.target_norm <= zero_tol(problem.dimension):
+    if problem.trivial:
         return 0.0 if err <= zero_tol(problem.dimension) else float("inf")
     return err / problem.target_norm

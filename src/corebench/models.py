@@ -122,9 +122,9 @@ class ProjectionConfig:
             raise ValueError("sample_count must be >= 1")
 
 
-def default_sample_count(param_dim: int, target_dim: int = 500) -> int:
-    """Sample count giving an embedding dimension of about ``target_dim``."""
-    return max(1, round(target_dim / param_dim))
+def default_sample_count(param_dim: int) -> int:
+    """Sample count giving an embedding dimension of about 500."""
+    return max(1, round(500 / param_dim))
 
 
 # --- likelihoods: values, per-datum gradients, negative-curvature weights ---
@@ -185,7 +185,8 @@ def _curvature(model: str, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     if model == "poisson":
         lam = np.maximum(np.logaddexp(0.0, u), _TINY)
         s = expit(u)
-        return s * (1.0 - s) + y * (s / lam) ** 2 - y * (s * (1.0 - s) / lam)
+        c = s * (1.0 - s) + y * (s / lam) ** 2 - y * (s * (1.0 - s) / lam)
+        return np.maximum(c, 0.0)        # the y terms cancel to rounding at tiny s
     return np.ones_like(u)
 
 

@@ -296,6 +296,17 @@ class TestCli:
         assert captured.err.splitlines()[-1] == \
             "corebench: error: duplicate algorithms: giga,giga"
 
+    def test_empty_algorithm_list_is_one_line_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-gauss", "--trials", "1", "--algs", ","])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "corebench: error: no algorithms selected; choose from giga,fw,is,rnd"
+        with pytest.raises(ValueError, match="no algorithms"):
+            spec(algorithms=())
+
     def test_data_error_is_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         code = main(["regress", "--input", str(missing), "--trials", "1",

@@ -99,11 +99,6 @@ class TestWeightedSum:
         w = WeightVector(np.array([0]), np.array([2.0]))
         np.testing.assert_allclose(weighted_sum(p, w), [2.0, 0.0])
 
-    def test_normalized_flag(self):
-        p = build_problem([(3.0, 0.0), (0.0, 4.0)])
-        w = WeightVector(np.array([0, 1]), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(weighted_sum(p, w, normalized=True), [1.0, 1.0])
-
     def test_out_of_range_index(self):
         p = build_problem([(1.0, 0.0)])
         w = WeightVector(np.array([5]), np.array([1.0]))

@@ -94,6 +94,12 @@ class TestGradients:
                     c = _curvature(model, np.array([y]), np.array([u]))
                     assert np.all(np.isfinite(g)) and np.all(np.isfinite(c))
 
+    def test_poisson_curvature_nonnegative_at_negative_activations(self):
+        # s(1-s) + y(s/lam)^2 - y s(1-s)/lam cancels to rounding when s is tiny
+        u = np.array([-40.0, -100.0, -500.0, -800.0])
+        c = _curvature("poisson", np.full(u.size, 3.0), u)
+        assert np.all(c >= 0.0), c
+
     @pytest.mark.parametrize("model", ["logistic", "poisson"])
     def test_matches_central_differences(self, model, rng):
         h = 1e-5

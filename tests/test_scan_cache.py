@@ -1,16 +1,20 @@
 """Greedy scans from carried projections and cached Gram columns.
 
-GIGA and FW pick each point from projections U @ x of their iterate that
-are updated with cached columns U @ ell_n instead of recomputed. These
-tests check the picks against reference loops that recompute every product
-from scratch, and that the column cache stays within its cap.
+GIGA and FW pick each point from projections U @ x of their iterate that a
+``hilbert.Projections`` carrier moves with cached columns U @ ell_n instead
+of recomputing them. These tests check the picks against reference loops
+that recompute every product from scratch, that the column cache stays
+within its cap, and that no step does more than one N x d product.
 """
+
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from corebench import baselines, giga
-from corebench.hilbert import RENORM_INTERVAL, GramColumns, build_problem, relative_error
+from corebench.hilbert import RENORM_INTERVAL, Projections, build_problem, relative_error
 
 MARGIN = 1e-9
 STEPS = 3 * RENORM_INTERVAL
@@ -101,36 +105,64 @@ def reference_fw_picks(problem, M):
     return picks
 
 
-class RecordingColumns(GramColumns):
-    """GramColumns that records the largest size of the latest instance."""
+class CountingMatrix:
+    """A problem's unit vectors U that count the N x d products taken with them."""
 
-    peaks: list = []
+    def __init__(self, unit_vectors):
+        self.rows = unit_vectors
+        self.products = 0
 
-    def __init__(self, problem):
-        super().__init__(problem)
-        self.peaks.append(0)
+    def __matmul__(self, x):
+        self.products += 1
+        return self.rows @ x
 
-    def column(self, n):
-        col = super().column(n)
-        self.peaks[-1] = max(self.peaks[-1], len(self))
-        return col
+    def __getitem__(self, n):
+        return self.rows[n]
+
+
+def counted(problem):
+    """A copy of the problem whose unit vectors count their N x d products."""
+    problem = copy.copy(problem)
+    problem.unit_vectors = CountingMatrix(problem.unit_vectors)
+    return problem
+
+
+class RecordingProjections(Projections):
+    """Projections that record the largest number of cached columns and, on
+    a counted problem, the most N x d products of one step (a step ends with
+    ``move``). ``instances`` lists every carrier made."""
+
+    instances: list = []
+
+    def __init__(self, problem, zero=True):
+        super().__init__(problem, zero)
+        self.unit = problem.unit_vectors
+        self.peak = self.most_products = 0
+        self.instances.append(self)
+
+    def move(self, n, a, b, drop=False):
+        super().move(n, a, b, drop)
+        self.peak = max(self.peak, len(self))
+        if isinstance(self.unit, CountingMatrix):
+            self.most_products = max(self.most_products, self.unit.products)
+            self.unit.products = 0
 
 
 @pytest.fixture
-def peak_columns(monkeypatch):
-    RecordingColumns.peaks = []
-    monkeypatch.setattr(giga, "GramColumns", RecordingColumns)
-    monkeypatch.setattr(baselines, "GramColumns", RecordingColumns)
-    return RecordingColumns.peaks
+def carriers(monkeypatch):
+    RecordingProjections.instances = []
+    monkeypatch.setattr(giga, "Projections", RecordingProjections)
+    monkeypatch.setattr(baselines, "Projections", RecordingProjections)
+    return RecordingProjections.instances
 
 
-def test_giga_picks_match_fresh_product_scan(rng, peak_columns):
+def test_giga_picks_match_fresh_product_scan(rng, carriers):
     compared = full = 0
     for _ in range(24):
         p = tall_problem(rng)
         _, diag = giga.run(p, STEPS)
-        assert peak_columns[-1] <= p.dimension
-        full += peak_columns[-1] == p.dimension
+        assert carriers[-1].peak <= p.dimension
+        full += carriers[-1].peak == p.dimension
         picks = [tr.n_t for tr in diag.traces]
         ref = reference_giga_picks(p, STEPS)
         assert picks[:len(ref)] == ref
@@ -139,13 +171,13 @@ def test_giga_picks_match_fresh_product_scan(rng, peak_columns):
     assert full >= 12        # most runs fill the cache and go on without it
 
 
-def test_fw_picks_match_fresh_product_scan(rng, peak_columns):
+def test_fw_picks_match_fresh_product_scan(rng, carriers):
     compared = full = 0
     for _ in range(24):
         p = tall_problem(rng)
         _, diag = baselines.fw_coreset(p, STEPS)
-        assert peak_columns[-1] <= p.dimension
-        full += peak_columns[-1] == p.dimension
+        assert carriers[-1].peak <= p.dimension
+        full += carriers[-1].peak == p.dimension
         ref = reference_fw_picks(p, STEPS)
         assert diag.selected[:len(ref)] == ref
         compared += len(ref)
@@ -153,39 +185,72 @@ def test_fw_picks_match_fresh_product_scan(rng, peak_columns):
     assert full >= 12
 
 
+@pytest.mark.parametrize("construct", [giga.run, baselines.fw_coreset],
+                         ids=["giga", "fw"])
+def test_no_step_does_more_than_one_product(rng, carriers, construct):
+    # the 24 tall problems fill their caches before the first resync; the
+    # last one has more dimensions than that, so it resyncs while filling
+    problems = [tall_problem(rng) for _ in range(24)]
+    problems.append(build_problem(rng.normal(size=(8 * RENORM_INTERVAL, 2 * RENORM_INTERVAL))))
+    for p in map(counted, problems):
+        construct(p, STEPS)
+        (scan,) = carriers
+        assert scan.most_products == 1 and p.unit_vectors.products <= 1
+        carriers.clear()
+
+
 def test_cache_holds_at_most_dimension_columns():
-    p = build_problem(np.random.default_rng(0).normal(size=(40, 3)))
-    columns = GramColumns(p)
+    p = counted(build_problem(np.random.default_rng(0).normal(size=(40, 3))))
+    U = p.unit_vectors
+    scan = Projections(p)
     for n in range(p.n):
-        col = columns.column(n)
-        if n < p.dimension:
-            np.testing.assert_array_equal(col, p.unit_vectors @ p.unit_vectors[n])
-        else:
-            assert col is None
-    assert len(columns) == p.dimension
-    assert columns.column(1) is not None          # cached rows stay available
+        scan.move(n, 0.0, 1.0)                     # x <- ell_n
+        assert len(scan) == min(n + 1, p.dimension)
+        assert U.products == (n < p.dimension)     # the column, while there is room
+        np.testing.assert_array_equal(scan.of(U[n]), U.rows @ U[n])
+        assert U.products == 1                     # past the cap, of recomputes
+        U.products = 0
+    scan.move(1, 0.0, 1.0)                         # cached rows stay available
+    scan.of(U[1])
+    assert U.products == 0 and len(scan) == p.dimension
 
 
 def test_step_with_a_projection_computes_no_column():
-    p = build_problem(np.random.default_rng(1).normal(size=(20, 5)))
-    columns = GramColumns(p)
-    x = p.unit_vectors[3]
-    np.testing.assert_array_equal(columns.project(x), p.unit_vectors @ x)
-    assert columns.column(0) is None              # one product per step
-    assert columns.column(0) is not None          # the next step may add it
-    assert len(columns) == 1
+    p = counted(build_problem(np.random.default_rng(1).normal(size=(20, 5))))
+    U = p.unit_vectors
+    scan = Projections(p, zero=False)
+    x = U[3]
+    np.testing.assert_array_equal(scan.of(x), U.rows @ x)
+    scan.move(0, 0.0, 1.0)                         # one product per step
+    assert len(scan) == 0 and U.products == 1
+    scan.move(0, 0.0, 1.0)                         # the next step may add it
+    assert len(scan) == 1 and U.products == 2
 
 
 def test_hand_built_state_without_projections():
     p = build_problem(np.random.default_rng(2).normal(size=(30, 4)))
     state = giga.initial_state(p)
-    state.proj = state.columns = None
+    state.scan = None
     trace = giga.select(p, state)
-    np.testing.assert_array_equal(state.proj, np.zeros(p.n))
+    assert isinstance(state.scan, Projections)
+    np.testing.assert_array_equal(state.scan.of(state.ell_w), np.zeros(p.n))
     giga.step_size(p, state, trace)
     new = giga.update(p, state, trace)
-    assert new.proj is None and new.columns is None
+    assert new.scan is state.scan
     assert giga.select(p, new).n_t == giga.run(p, 2)[1].traces[1].n_t
+
+
+def test_hand_built_state_away_from_zero_recomputes_projections():
+    p = build_problem(np.random.default_rng(4).normal(size=(30, 4)))
+    state = giga.initial_state(p)
+    for _ in range(5):
+        trace = giga.select(p, state)
+        giga.step_size(p, state, trace)
+        state = giga.update(p, state, trace)
+    hand = dataclasses.replace(state, scan=None)
+    assert giga.select(p, hand).n_t == giga.select(p, state).n_t
+    np.testing.assert_allclose(hand.scan.of(hand.ell_w), p.unit_vectors @ state.ell_w,
+                               rtol=0, atol=1e-14)
 
 
 def test_cost_keeps_digits_below_float_resolution_of_alignment():
