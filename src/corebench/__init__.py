@@ -19,7 +19,6 @@ from .hilbert import (
 from .models import (
     GaussianMeanData,
     LaplaceApprox,
-    ProjectionConfig,
     RegressionData,
     coreset_posterior_variance,
     gaussian_embed,
@@ -38,7 +37,6 @@ __all__ = [
     "GigaState",
     "IterationTrace",
     "LaplaceApprox",
-    "ProjectionConfig",
     "RegressionData",
     "WeightVector",
     "build_problem",

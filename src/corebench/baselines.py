@@ -39,10 +39,7 @@ FLOOR_MULTIPLE = 4
 class FwDiagnostics:
     selected: list[int] = field(default_factory=list)
     gammas: list[float] = field(default_factory=list)
-    # ||Lw - L|| per step from the carried iterate Lw, not recomputed from w:
-    # near the float floor it can read 10x below the true residual
-    errors: list[float] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)       # cumulative cpu seconds
+    times: list[float] = field(default_factory=list)  # cumulative thread CPU seconds
     stop_reason: str | None = None
     snapshots: dict[int, WeightVector] = field(default_factory=dict)
 
@@ -113,7 +110,6 @@ def fw_coreset(problem: CoresetProblem, M: int,
             scan.move(n_t, 1.0 - gamma, gamma * sigma, drop=resync)
         diag.selected.append(n_t)
         diag.gammas.append(gamma)
-        diag.errors.append(float(np.linalg.norm(Lw - L)))
 
     final, diag.snapshots, diag.times, diag.stop_reason = iterate(
         step, lambda: WeightVector.from_dense(w), M, checkpoints)

@@ -18,6 +18,10 @@ split into named PCG64 streams: trial t of a run with root seed s uses
 sampling, 2 for uniform subsampling, and 3 for the projection draw, so every
 row is reproducible bit-for-bit (timing columns aside). Trials run one
 after another, and rows are emitted in (trial, algorithm, M) order.
+
+``cpu_seconds`` is the CPU time of the constructing thread
+(``time.thread_time``), with BLAS helper threads excluded: GIGA and FW
+report it for the run up to each budget, IS and RND for their one sweep.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .hilbert import CoresetProblem, WeightVector, build_problem, relative_error
 from .models import (
     GaussianMeanData,
     LaplaceNotConverged,
-    ProjectionConfig,
     RegressionData,
     coreset_posterior_variance,
     default_sample_count,
@@ -59,10 +62,10 @@ class DataError(Exception):
 class ExperimentSpec:
     experiment: str
     n: int
-    dim: int
     m_max: int
     trials: int
     seed: int
+    dim: int = 0                 # read by synth-vectors only
     algorithms: tuple[str, ...] = ALGORITHMS
     model: str = "logistic"
     input_path: str | None = None
@@ -155,9 +158,9 @@ def _construction_rows(spec: ExperimentSpec, trial: int, grid: list[int],
                 emit(alg, m, diag.snapshots[m], _checkpoint_time(diag.times, m))
         else:
             seed = _stream_seed(spec.seed, trial, _STREAM_IS if alg == "is" else _STREAM_RND)
-            t0 = time.process_time()
+            t0 = time.thread_time()
             sweep = baselines.sampling_sweep(problem, grid, seed, alg.upper())
-            cpu = time.process_time() - t0
+            cpu = time.thread_time() - t0
             for m in grid:
                 emit(alg, m, sweep[m], cpu)
     return rows
@@ -227,8 +230,8 @@ def _trial_problems(spec: ExperimentSpec):
             samples = default_sample_count(data.d + 1)
 
         def projected(trial):
-            cfg = ProjectionConfig(samples, seed=_stream_seed(spec.seed, trial, _STREAM_PROJ))
-            return project(spec.model, data, lap, cfg), None
+            seed = _stream_seed(spec.seed, trial, _STREAM_PROJ)
+            return project(spec.model, data, lap, samples, seed), None
         return projected
 
     def synthetic(trial):
@@ -254,21 +257,15 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
 # --- CSV input/output ---
 
-def rows_to_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+def write_csv(rows: list[ResultRow], out) -> None:
+    """Write the rows as CSV to the open text file ``out``."""
+    writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     for r in rows:
         writer.writerow([
             r.trial, r.algorithm, r.M, repr(r.rel_error), r.size,
             repr(r.cpu_seconds), "" if r.extra is None else repr(r.extra),
         ])
-    return buf.getvalue()
-
-
-def write_csv(rows: list[ResultRow], out) -> None:
-    """Write the rows as CSV to the open text file ``out``."""
-    out.write(rows_to_csv(rows))
 
 
 def load_csv(path: str, label_column: str, model: str,

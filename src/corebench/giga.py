@@ -115,7 +115,7 @@ class GigaDiagnostics:
     traces: list[IterationTrace] = field(default_factory=list)
     alignments: list[float] = field(default_factory=list)
     costs: list[float] = field(default_factory=list)       # J_t per step
-    times: list[float] = field(default_factory=list)       # cumulative cpu seconds
+    times: list[float] = field(default_factory=list)  # cumulative thread CPU seconds
     stop_reason: str | None = None
     snapshots: dict[int, WeightVector] = field(default_factory=dict)
 

@@ -197,21 +197,22 @@ def iterate(step, snapshot, M: int, checkpoints=None):
     iterate. Returns ``(final, snapshots, times, stop_reason)``:
     ``snapshots`` maps each checkpoint to the weights after that many
     steps (checkpoints past an early stop get the final weights), ``times``
-    holds the cumulative process CPU seconds after each completed step, and
+    holds the cumulative CPU seconds of the calling thread after each
+    completed step (BLAS helper threads are not counted), and
     ``stop_reason`` is None when all M steps ran.
     """
     if M < 1:
         raise ValueError("iteration budget M must be >= 1")
     cps = set(checkpoints or ())
     snapshots, times, stop_reason = {}, [], None
-    t_start = time.process_time()
+    t_start = time.thread_time()
     for t in range(1, M + 1):
         try:
             step(t)
         except Stop as stop:
             stop_reason = stop.reason
             break
-        times.append(time.process_time() - t_start)
+        times.append(time.thread_time() - t_start)
         if t in cps:
             snapshots[t] = snapshot()
     done = len(times)

@@ -107,21 +107,6 @@ class LaplaceApprox:
             raise ValueError("factor diagonal must be positive")
 
 
-@dataclass(frozen=True)
-class ProjectionConfig:
-    """Number of posterior gradient samples and the sampling seed.
-
-    The resulting embedding dimension is sample_count * (D + 1).
-    """
-
-    sample_count: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-
-
 def default_sample_count(param_dim: int) -> int:
     """Sample count giving an embedding dimension of about 500."""
     return max(1, round(500 / param_dim))
@@ -277,18 +262,19 @@ def coreset_posterior_variance(data: GaussianMeanData,
     return wy / (1.0 + wsum), 1.0 / (1.0 + wsum)
 
 
-def project(model: str, data, lap: LaplaceApprox,
-            cfg: ProjectionConfig) -> CoresetProblem:
+def project(model: str, data, lap: LaplaceApprox, S: int, seed: int) -> CoresetProblem:
     """Random-feature embedding from gradients at posterior samples.
 
-    Draws theta_1..theta_S i.i.d. from N(mode, covariance) and embeds datum
-    n as the concatenation over s of grad L_n(theta_s) / sqrt(S), so that
-    Euclidean inner products are unbiased estimates of
-    E[grad L_n . grad L_m] under the Laplace posterior.
+    Draws theta_1..theta_S i.i.d. from N(mode, covariance), with the
+    generator seeded by ``seed``, and embeds datum n as the concatenation
+    over s of grad L_n(theta_s) / sqrt(S), so that Euclidean inner products
+    are unbiased estimates of E[grad L_n . grad L_m] under the Laplace
+    posterior. The embedding dimension is S * (D + 1).
     """
+    if S < 1:
+        raise ValueError("S must be >= 1")
     Z, y = _design(model, data)
-    S = cfg.sample_count
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     thetas = lap.mode + rng.standard_normal((S, lap.mode.size)) @ lap.factor.T
     blocks = [log_likelihood_grad(model, Z, y, th) for th in thetas]
     embedding = np.hstack(blocks) / np.sqrt(S)

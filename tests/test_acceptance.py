@@ -27,7 +27,6 @@ from corebench.giga import (
 from corebench.hilbert import build_problem, relative_error, weighted_sum
 from corebench.models import (
     GaussianMeanData,
-    ProjectionConfig,
     RegressionData,
     gaussian_embed,
     laplace,
@@ -225,8 +224,7 @@ def test_c7_projection_mse_decays_as_one_over_s():
     for s in sample_counts:
         reps = []
         for rep in range(30):
-            proj = project("gaussian", data, lap,
-                           ProjectionConfig(s, seed=1000 * s + rep))
+            proj = project("gaussian", data, lap, s, seed=1000 * s + rep)
             gram = proj.vectors @ proj.vectors.T
             reps.append(float(np.mean((gram - exact_gram) ** 2)))
         mses.append(np.mean(reps))

@@ -46,8 +46,9 @@ class TestFrankWolfe:
             p = random_problem(rng, max_n=40, max_dim=8)
             if p.trivial or p.n == 0:
                 continue
-            _, diag = fw_coreset(p, 20)
-            errs = np.array(diag.errors)
+            _, diag = fw_coreset(p, 20, checkpoints=range(1, 21))
+            errs = np.array([np.linalg.norm(weighted_sum(p, diag.snapshots[m]) - p.target)
+                             for m in range(1, 21)])
             assert np.all(np.diff(errs) <= 1e-10 * p.target_norm + 1e-12)
 
     def test_size_bounded_by_budget(self, rng):

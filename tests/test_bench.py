@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import subprocess
 import sys
@@ -17,13 +19,19 @@ from corebench.bench import (
     _gauss_trial,
     load_csv,
     log_grid,
-    rows_to_csv,
     run_experiment,
     synth_regression_data,
+    write_csv,
 )
-from corebench.cli import main
+from corebench.cli import _DEFAULTS, build_parser, main
 from corebench.hilbert import WeightVector, relative_error
-from corebench.models import ProjectionConfig, laplace, project
+from corebench.models import laplace, project
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    return buf.getvalue()
 
 
 def spec(**kw):
@@ -157,7 +165,7 @@ class TestRegress:
         # the projected-space metric vanishes on the all-ones weight vector
         data = synth_regression_data("logistic", 80, np.random.default_rng(1))
         lap = laplace("logistic", data)
-        problem = project("logistic", data, lap, ProjectionConfig(40, seed=0))
+        problem = project("logistic", data, lap, 40, seed=0)
         w = WeightVector(np.arange(problem.n), np.ones(problem.n))
         assert relative_error(problem, w) <= 1e-6
 
@@ -181,7 +189,7 @@ class TestRegress:
 class TestCsvOutput:
     def test_header_and_quoting(self):
         rows = run_experiment(spec(trials=1, algorithms=("giga",)))
-        text = rows_to_csv(rows)
+        text = csv_text(rows)
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == list(CSV_COLUMNS)
         assert len(parsed) == len(rows) + 1
@@ -192,8 +200,8 @@ class TestCsvOutput:
         s = spec(trials=2)
         strip_timing = lambda text: [
             row[:5] + row[6:] for row in csv.reader(io.StringIO(text))]
-        a = strip_timing(rows_to_csv(run_experiment(s)))
-        b = strip_timing(rows_to_csv(run_experiment(s)))
+        a = strip_timing(csv_text(run_experiment(s)))
+        b = strip_timing(csv_text(run_experiment(s)))
         assert a == b
 
 
@@ -274,16 +282,31 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
 
-    def test_usage_error_is_exit_1(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["ortho", "--algs", "bogus"])
-        assert exc.value.code == 1
-        with pytest.raises(SystemExit) as exc:
-            main(["no-such-experiment"])
-        assert exc.value.code == 1
-        with pytest.raises(SystemExit) as exc:
-            main(["ortho", "--use-captree"])
-        assert exc.value.code == 1
+    def test_usage_error_is_exit_1(self, capsys):
+        for argv in (["ortho", "--algs", "bogus"],
+                     ["no-such-experiment"],
+                     ["ortho", "--use-captree"],
+                     ["ortho", "--dim", "3"],          # only synth-* take --dim
+                     ["regress", "--dim", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1, argv
+            assert capsys.readouterr().err.splitlines()[-1].startswith("corebench: error: ")
+
+    def test_flags_are_spec_fields_and_defaults_are_stated_once(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        assert set(subparsers) == set(_DEFAULTS)
+        for name, sub in subparsers.items():
+            dests = {a.dest for a in sub._actions if a.option_strings} - {"help", "out"}
+            assert dests <= fields, name
+            assert ("dim" in dests) == name.startswith("synth-"), name
+            args = vars(parser.parse_args([name]))
+            assert args.pop("out") is None
+            assert ExperimentSpec(**args) == \
+                ExperimentSpec(experiment=name, seed=0, **_DEFAULTS[name])
 
     def test_duplicate_algorithm_is_one_line_usage_error(self, capsys):
         # a repeated name would run that construction again and print its

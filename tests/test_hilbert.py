@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +148,22 @@ class TestIterate:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="M must be >= 1"):
             iterate(lambda t: None, lambda: "w", 0)
+
+    def test_times_leave_out_helper_threads(self):
+        # a BLAS call's helper threads spin while the calling thread waits;
+        # their CPU time is not the construction's
+        def spin():
+            end = time.perf_counter() + 0.2
+            while time.perf_counter() < end:
+                pass
+
+        def step(t):
+            helper = threading.Thread(target=spin)
+            helper.start()
+            helper.join()
+
+        _, _, times, _ = iterate(step, lambda: "w", 1)
+        assert times[0] < 0.05
 
     @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
     def test_trivial_problem_takes_no_step(self, construct):

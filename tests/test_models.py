@@ -7,7 +7,6 @@ from corebench.hilbert import WeightVector
 from corebench.models import (
     GaussianMeanData,
     LaplaceNotConverged,
-    ProjectionConfig,
     RegressionData,
     _curvature,
     coreset_posterior_variance,
@@ -189,22 +188,30 @@ class TestProjection:
         y = np.array([1.0, 1.0, -1.0])
         data = RegressionData(x, y)
         lap = laplace("logistic", data)
-        p = project("logistic", data, lap, ProjectionConfig(16, seed=0))
+        p = project("logistic", data, lap, 16, seed=0)
         np.testing.assert_array_equal(p.vectors[0], p.vectors[1])
 
     def test_embedding_dimension(self, rng):
         data = RegressionData(rng.normal(size=(5, 3)),
                               rng.choice([-1.0, 1.0], size=5))
         lap = laplace("logistic", data)
-        p = project("logistic", data, lap, ProjectionConfig(1, seed=1))
+        p = project("logistic", data, lap, 1, seed=1)
         assert p.dimension == 4
+
+    @pytest.mark.parametrize("S", [0, -1])
+    def test_rejects_nonpositive_sample_count(self, rng, S):
+        data = RegressionData(rng.normal(size=(5, 2)),
+                              rng.choice([-1.0, 1.0], size=5))
+        lap = laplace("logistic", data)
+        with pytest.raises(ValueError, match="S must be >= 1"):
+            project("logistic", data, lap, S, seed=0)
 
     def test_deterministic_given_seed(self, rng):
         data = RegressionData(rng.normal(size=(6, 2)),
                               rng.choice([-1.0, 1.0], size=6))
         lap = laplace("logistic", data)
-        p1 = project("logistic", data, lap, ProjectionConfig(8, seed=5))
-        p2 = project("logistic", data, lap, ProjectionConfig(8, seed=5))
+        p1 = project("logistic", data, lap, 8, seed=5)
+        p2 = project("logistic", data, lap, 8, seed=5)
         np.testing.assert_array_equal(p1.vectors, p2.vectors)
 
     def test_gaussian_gram_approaches_closed_form(self, rng):
@@ -213,7 +220,7 @@ class TestProjection:
         exact = gaussian_embed(data)
         exact_gram = exact.vectors @ exact.vectors.T
         lap = laplace("gaussian", data)
-        proj = project("gaussian", data, lap, ProjectionConfig(10_000, seed=2))
+        proj = project("gaussian", data, lap, 10_000, seed=2)
         gram = proj.vectors @ proj.vectors.T
         rel = np.abs(gram - exact_gram) / np.maximum(np.abs(exact_gram), 1e-12)
         assert np.median(rel) <= 0.05
