@@ -276,8 +276,9 @@ def load_csv(path: str, label_column: str, model: str,
     may be coded {0, 1} (mapped to {-1, +1}) or {-1, +1} directly; Poisson
     labels must be nonnegative integers. Schema problems and CSV parse
     errors raise DataError with the offending file line number (the header
-    is line 1). With ``standardize``, features are shifted/scaled to mean 0
-    and variance 1 (constant columns are only centered).
+    is line 1; a multi-line record gets its last line). With ``standardize``,
+    features are shifted/scaled to mean 0 and variance 1 (constant columns
+    are only centered).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -286,7 +287,8 @@ def load_csv(path: str, label_column: str, model: str,
         raise DataError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    records = _records(csv.reader(io.StringIO(text, newline="")), path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records = _records(reader, path)
     try:
         header = next(records)
     except StopIteration:
@@ -301,17 +303,17 @@ def load_csv(path: str, label_column: str, model: str,
         raise DataError(f"{path}: no feature columns besides the label")
 
     xs, ys = [], []
-    for line_no, record in enumerate(records, start=2):
+    for record in records:
         if not record or all(not c.strip() for c in record):
             continue
         if len(record) != len(header):
-            raise DataError(f"{path}: row {line_no} has {len(record)} fields, "
+            raise DataError(f"{path}: row {reader.line_num} has {len(record)} fields, "
                             f"expected {len(header)}")
         try:
             values = [float(c) for c in record]
         except ValueError:
             bad = next(c for c in record if not _is_float(c))
-            raise DataError(f"{path}: row {line_no}: non-numeric value "
+            raise DataError(f"{path}: row {reader.line_num}: non-numeric value "
                             f"{bad.strip()!r}") from None
         xs.append([values[i] for i in feature_idx])
         ys.append(values[label_idx])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .bench import DataError, ExperimentSpec, run_experiment, write_csv
@@ -82,9 +83,13 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     # --out is opened before the run, so a bad path costs no work; like
-    # shell redirection, a data error leaves the file empty
+    # shell redirection, a data error leaves the file empty. Opening the
+    # --input file for writing would empty it before it is read.
     out = contextlib.nullcontext(sys.stdout)
     if out_path:
+        with contextlib.suppress(OSError):
+            if spec.input_path and os.path.samefile(out_path, spec.input_path):
+                parser.exit(1, f"{parser.prog}: error: --out {out_path} is the --input file\n")
         try:
             out = open(out_path, "w", newline="")
         except OSError as exc:

@@ -9,9 +9,10 @@ L = sum_n L_n:
 
     alpha* = (||L|| / ||L(w)||) * max{0, <ell(w), ell>}.
 
-The iterate ell(w_t) is cached and updated in O(1) vector operations per
-step (storage option with cached sums); w_t is kept as a dense array over
-the problem's kept indexing and sparsified only on output.
+A run keeps one ``GigaState``: ``update`` advances it in place by O(1)
+vector operations per step (storage option with cached sums). w_t is kept as
+a dense array over the problem's kept indexing and sparsified only on output.
+A step that cannot improve the iterate raises ``hilbert.Stop``.
 
 The selection scan needs <ell_n, d_t> and <ell_n, ell(w_t)> for every n.
 Since d_t = (ell - <ell(w_t), ell> ell(w_t)) / ||.||, both follow from the
@@ -22,6 +23,7 @@ step to step and resyncs every RENORM_INTERVAL steps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,18 +43,6 @@ from .hilbert import (
 STEP_DENOM_TOL = 1e-12     # line-search denominator guard
 # fixed, not the floor: it only decides whether a clamped step warns
 CLAMP_WARN_TOL = 1e-9      # gamma outside [0,1] beyond this is suspicious
-
-
-class Converged(Stop):
-    """Residual direction exhausted; the iterate cannot improve further."""
-
-    reason = "converged"
-
-
-class DegenerateStep(Stop):
-    """Line-search denominator vanished (selected point coincides with iterate)."""
-
-    reason = "degenerate step"
 
 
 def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int) -> np.ndarray:
@@ -80,32 +70,28 @@ def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
 
 @dataclass(eq=False)
 class GigaState:
-    """Iterate after t steps: weights (normalized coordinates), cached unit
-    iterate ell(w_t), its alignment <ell(w_t), ell>, the squared residual
-    J_t = ||ell - alignment * ell(w_t)||^2 and the carrier of the
-    projections U @ ell(w_t) (None: ``select`` gives the state one).
-
-    States of one run share their carrier: ``update`` moves the projections
-    of its input state to the new iterate, so only the latest state of a run
-    may be passed to ``select``."""
+    """Iterate of a run after t steps: weights (normalized coordinates),
+    cached unit iterate ell(w_t), its alignment <ell(w_t), ell>, the squared
+    residual J_t = ||ell - alignment * ell(w_t)||^2 and the carrier of the
+    projections U @ ell(w_t). ``update`` advances it in place; a state built
+    away from x = 0 takes ``Projections(problem, zero=False)``."""
 
     t: int
     weights: np.ndarray
     ell_w: np.ndarray
     alignment: float
     J: float
-    scan: Projections | None = None
+    scan: Projections
 
 
 @dataclass
 class IterationTrace:
     """Per-step intermediates: selected index, geodesic alignment score,
-    the three line-search inner products, and the step size."""
+    the line-search inner products besides the alignment, and the step size."""
 
     n_t: int
     score: float
     zeta0: float   # <ell, ell_{n_t}>
-    zeta1: float   # <ell, ell(w_t)>
     zeta2: float   # <ell_{n_t}, ell(w_t)>
     gamma: float = float("nan")
 
@@ -121,14 +107,11 @@ class GigaDiagnostics:
 
 
 def initial_state(problem: CoresetProblem) -> GigaState:
-    return GigaState(
-        t=0,
-        weights=np.zeros(problem.n),
-        ell_w=np.zeros(problem.dimension),
-        alignment=0.0,
-        J=1.0,
-        scan=Projections(problem),
-    )
+    """The run's state at w = 0, where the residual is ell itself."""
+    return GigaState(t=0, weights=np.zeros(problem.n),
+                     ell_w=np.zeros(problem.dimension), alignment=0.0,
+                     J=float(problem.unit_target @ problem.unit_target),
+                     scan=Projections(problem))
 
 
 def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
@@ -137,32 +120,29 @@ def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
     Computes d_t = (ell - <ell, ell(w)> ell(w)) / ||.|| and maximizes
     <d_t, d_tn> over n, where d_tn is the analogous tangent toward ell_n
     (zero-vector convention for vanishing tangents). At t = 0 this reduces
-    to argmax_n <ell_n, ell>. Raises Converged when the residual norm falls
-    to ``problem.floor`` or no candidate scores positive.
+    to argmax_n <ell_n, ell>. Raises Stop("converged") when the residual
+    norm sqrt(J_t) falls to ``problem.floor`` or no candidate scores
+    positive.
 
     The scan scores U @ d_t = (unit_scores - alignment * U @ ell(w)) / ||.||
     from the projections of ``state.scan``.
     """
-    resid = problem.unit_target - state.alignment * state.ell_w
-    resid_norm = float(np.linalg.norm(resid))
+    resid_norm = math.sqrt(state.J)
     if resid_norm <= problem.floor:
-        raise Converged
+        raise Stop("converged")
 
-    if state.scan is None:
-        state.scan = Projections(problem, zero=False)
     proj = state.scan.of(state.ell_w)
     num = (problem.unit_scores - state.alignment * proj) / resid_norm
     scores = objective_from_products(num, proj, problem.dimension)
     n_t = int(np.argmax(scores))        # ties break to the lowest index
     score = float(scores[n_t])
     if score <= 0.0:
-        raise Converged
+        raise Stop("converged")
 
     return IterationTrace(
         n_t=n_t,
         score=score,
         zeta0=float(problem.unit_vectors[n_t] @ problem.unit_target),
-        zeta1=state.alignment,
         zeta2=float(problem.unit_vectors[n_t] @ state.ell_w),
     )
 
@@ -171,16 +151,17 @@ def step_size(problem: CoresetProblem, state: GigaState,
               trace: IterationTrace) -> float:
     """Closed-form geodesic line search step, clamped to [0, 1].
 
-    gamma = (z0 - z1 z2) / ((z0 - z1 z2) + (z1 - z0 z2)); feasibility of the
-    unclamped optimum holds in exact arithmetic, so clamping beyond
-    CLAMP_WARN_TOL triggers a numerical warning. A vanishing denominator
-    (coincident points) raises DegenerateStep.
+    gamma = (z0 - z1 z2) / ((z0 - z1 z2) + (z1 - z0 z2)), z1 = state.alignment;
+    feasibility of the unclamped optimum holds in exact arithmetic, so
+    clamping beyond CLAMP_WARN_TOL triggers a numerical warning. A vanishing
+    denominator (coincident points) raises Stop("degenerate step").
     """
-    a = trace.zeta0 - trace.zeta1 * trace.zeta2
-    b = trace.zeta1 - trace.zeta0 * trace.zeta2
+    z1 = state.alignment
+    a = trace.zeta0 - z1 * trace.zeta2
+    b = z1 - trace.zeta0 * trace.zeta2
     denom = a + b
     if denom <= STEP_DENOM_TOL:
-        raise DegenerateStep
+        raise Stop("degenerate step")
     raw = a / denom
     gamma = min(max(raw, 0.0), 1.0)
     if abs(raw - gamma) > CLAMP_WARN_TOL:
@@ -193,9 +174,9 @@ def step_size(problem: CoresetProblem, state: GigaState,
 
 
 def update(problem: CoresetProblem, state: GigaState,
-           trace: IterationTrace) -> GigaState:
-    """Move along the geodesic and renormalize both the cached iterate and
-    the weights by the same norm.
+           trace: IterationTrace) -> None:
+    """Advance the state in place: move along the geodesic and renormalize
+    both the cached iterate and the weights by the same norm.
 
     The carried projections follow the same move and are dropped every
     RENORM_INTERVAL steps. Weights and the iterate never depend on them.
@@ -208,30 +189,21 @@ def update(problem: CoresetProblem, state: GigaState,
     if nrm <= zero_tol(problem.dimension):
         raise RuntimeError("collapsed iterate")
 
-    weights = state.weights * ((1.0 - g) / nrm)
-    weights[trace.n_t] += g / nrm
-    ell_w = direction / nrm
-
-    t_new = state.t + 1
-    resync = t_new % RENORM_INTERVAL == 0
+    a, b = (1.0 - g) / nrm, g / nrm
+    state.weights *= a
+    state.weights[trace.n_t] += b
+    state.ell_w = direction / nrm
+    state.t += 1
+    resync = state.t % RENORM_INTERVAL == 0
     if resync:
-        drift = float(np.linalg.norm(ell_w))
-        ell_w = ell_w / drift
-        weights = weights / drift
+        drift = float(np.linalg.norm(state.ell_w))
+        state.ell_w /= drift
+        state.weights /= drift
+    state.scan.move(trace.n_t, a, b, drop=resync)
 
-    if state.scan is not None:
-        state.scan.move(trace.n_t, (1.0 - g) / nrm, g / nrm, drop=resync)
-
-    alignment = float(ell_w @ problem.unit_target)
-    resid = problem.unit_target - alignment * ell_w
-    return GigaState(
-        t=t_new,
-        weights=weights,
-        ell_w=ell_w,
-        alignment=alignment,
-        J=float(resid @ resid),
-        scan=state.scan,
-    )
+    state.alignment = float(state.ell_w @ problem.unit_target)
+    resid = problem.unit_target - state.alignment * state.ell_w
+    state.J = float(resid @ resid)
 
 
 def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
@@ -251,21 +223,21 @@ def run(problem: CoresetProblem, M: int, *,
         checkpoints=None) -> tuple[WeightVector, GigaDiagnostics]:
     """Run up to M greedy iterations and return finalized weights.
 
-    Early stop ("trivial" / "converged" / "degenerate step") is recorded in
-    the diagnostics rather than raised. When ``checkpoints`` is given, a
-    finalized snapshot of the weights is captured after each listed
-    iteration count (snapshots after an early stop repeat the final state).
+    The run's one state is advanced in place. An early stop ("trivial" /
+    "converged" / "degenerate step") is recorded in the diagnostics rather
+    than raised. When ``checkpoints`` is given, a finalized snapshot of the
+    weights is captured after each listed iteration count (snapshots after
+    an early stop repeat the final state).
     """
     diag = GigaDiagnostics()
     state = initial_state(problem)
 
     def step(t):
-        nonlocal state
         if problem.trivial:
             raise Stop("trivial")
         trace = select(problem, state)
         step_size(problem, state, trace)
-        state = update(problem, state, trace)
+        update(problem, state, trace)
         diag.traces.append(trace)
         diag.alignments.append(state.alignment)
         diag.costs.append(state.J)

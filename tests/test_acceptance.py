@@ -11,12 +11,10 @@ import pytest
 
 import corebench
 from corebench.baselines import fw_coreset
-from corebench.bench import ExperimentSpec, run_experiment
+from corebench.bench import ExperimentSpec, _trial_problems, run_experiment
 from corebench.captree import build as build_cap_tree
 from corebench.captree import cap_objective, node_upper_bound, search
 from corebench.giga import (
-    Converged,
-    DegenerateStep,
     finalize,
     initial_state,
     run,
@@ -24,7 +22,7 @@ from corebench.giga import (
     step_size,
     update,
 )
-from corebench.hilbert import build_problem, relative_error, weighted_sum
+from corebench.hilbert import Stop, build_problem, relative_error, weighted_sum
 from corebench.models import (
     GaussianMeanData,
     RegressionData,
@@ -111,13 +109,35 @@ def test_c4_vector_sum_error_gap_and_size():
                   for alg in ("giga", "fw")}
     elapsed = time.perf_counter() - t0
 
-    print("\n    M     giga median     fw median      ratio")
+    # the cause of a failing gap: medians in units of each trial's float
+    # floor, per-step log-error rates fitted above the floor, and GIGA's
+    # lead in steps, ln(fw / giga) / -rate(giga), where both are above it
+    trial_problem = _trial_problems(spec)
+    floors = [trial_problem(t)[0].floor for t in range(spec.trials)]
+    in_floors = {(alg, m): float(np.median([r.rel_error / floors[r.trial] for r in rows
+                                            if r.algorithm == alg and r.M == m]))
+                 for alg in ("giga", "fw") for m in grid}
+    rate = {}
+    for alg in ("giga", "fw"):
+        above = [m for m in grid if in_floors[(alg, m)] > 4]
+        rate[alg] = float(np.polyfit(above, np.log([med[(alg, m)] for m in above]), 1)[0])
+    lead = {m: float(np.log(med[("fw", m)] / med[("giga", m)])) / -rate["giga"]
+            for m in grid if min(in_floors[("giga", m)], in_floors[("fw", m)]) > 4}
+
+    print("\n    M     giga median     fw median      ratio  both <= 4 floors   lead")
     ratios = {}
     for m in grid:
+        ratio = med[("giga", m)] / med[("fw", m)]
         if m >= 100:
-            ratios[m] = med[("giga", m)] / med[("fw", m)]
-            print(f"  {m:>5} {med[('giga', m)]:>14.5e} {med[('fw', m)]:>13.5e} "
-                  f"{ratios[m]:>10.3e}")
+            ratios[m] = ratio
+        at_floor = max(in_floors[("giga", m)], in_floors[("fw", m)]) <= 4
+        lead_text = f"{lead[m]:>6.1f}" if m in lead else "     -"
+        print(f"  {m:>5} {med[('giga', m)]:>14.5e} {med[('fw', m)]:>13.5e} "
+              f"{ratio:>10.3e}  {str(at_floor):>16}  {lead_text}")
+    print(f"  log-error per step above the floor: giga {rate['giga']:.4f}, "
+          f"fw {rate['fw']:.4f}; GIGA's lead {min(lead.values()):.1f}-"
+          f"{max(lead.values()):.1f} steps, ratio 1e-2 needs "
+          f"{np.log(100) / -rate['giga']:.1f}")
     gap_ok = all(r <= 1e-2 for r in ratios.values())
     size_ok = final_size["giga"] < final_size["fw"]
     ok = gap_ok and size_ok and elapsed < 300
@@ -148,10 +168,10 @@ def test_c5_algorithm_invariant_suite():
             try:
                 trace = select(problem, state)
                 gamma = step_size(problem, state, trace)
-            except (Converged, DegenerateStep):
+            except Stop:
                 break
             assert 0.0 <= gamma <= 1.0
-            state = update(problem, state, trace)
+            update(problem, state, trace)
             assert np.linalg.norm(state.ell_w) == pytest.approx(1.0, abs=1e-8)
             assert state.alignment >= prev_align - 1e-12
             assert state.J == pytest.approx(prev_J * (1 - trace.score ** 2), abs=1e-8)

@@ -234,6 +234,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(str(path), "y", "logistic")
 
+    def test_rows_are_numbered_by_file_line(self, tmp_path):
+        # the quoted header field spans lines 1-2, so "abc" is on file line 6
+        path = tmp_path / "d.csv"
+        path.write_text('"x\n1",y\n1.0,1\n\n2.0,0\nabc,1\n')
+        with pytest.raises(DataError, match="row 6: non-numeric value 'abc'"):
+            load_csv(str(path), "y", "logistic")
+        path.write_text('x,y\n1.0,1\n"2.0\n",0\n1.0,2,3\n')
+        with pytest.raises(DataError, match="row 5 has 3 fields"):
+            load_csv(str(path), "y", "logistic")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
@@ -369,6 +379,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"corebench: error: cannot write {out}: ")
+
+    def test_out_naming_the_input_is_one_line_usage_error(self, tmp_path,
+                                                          monkeypatch, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n0.5,1\n-0.5,0\n")
+        before = path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        for out in (str(path), "d.csv", str(tmp_path / "." / "d.csv")):
+            with pytest.raises(SystemExit) as exc:
+                main(["regress", "--input", str(path), "--trials", "1",
+                      "--m-max", "2", "--out", out])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err == f"corebench: error: --out {out} is the --input file\n"
+            assert path.read_bytes() == before
 
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_oversized_csv_field_is_one_line_data_error(self, where, tmp_path, capsys):

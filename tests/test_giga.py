@@ -5,8 +5,6 @@ from corebench import giga
 from corebench.captree import build as build_cap_tree
 from corebench.captree import search as captree_search
 from corebench.giga import (
-    Converged,
-    DegenerateStep,
     GigaState,
     cap_objective,
     initial_state,
@@ -15,7 +13,7 @@ from corebench.giga import (
     step_size,
     update,
 )
-from corebench.hilbert import build_problem, relative_error
+from corebench.hilbert import Projections, Stop, build_problem, relative_error
 
 from conftest import brute_force_error, random_problem
 
@@ -32,6 +30,7 @@ def two_orth_state_after_first_pick():
         ell_w=np.array([1.0, 0.0]),
         alignment=float(ell[0]),
         J=1.0 - float(ell[0]) ** 2,
+        scan=Projections(p, zero=False),
     )
 
 
@@ -49,21 +48,22 @@ class TestSelect:
         assert trace.n_t == 1
         assert trace.score == pytest.approx(1.0, abs=1e-12)
         assert trace.zeta0 == pytest.approx(1 / np.sqrt(2))
-        assert trace.zeta1 == pytest.approx(1 / np.sqrt(2))
+        assert state.alignment == pytest.approx(1 / np.sqrt(2))
         assert trace.zeta2 == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_problem_second_pick_is_next_unused(self):
         p = build_problem(np.eye(4) / 4)
         state = initial_state(p)
-        state = update(p, state, _traced(p, state))
+        update(p, state, _traced(p, state))
         trace = select(p, state)
         assert trace.n_t == 1
 
     def test_converged_when_residual_exhausted(self):
         p = build_problem([(2.0, 0.0)])
         state = GigaState(t=1, weights=np.array([1.0]),
-                          ell_w=np.array([1.0, 0.0]), alignment=1.0, J=0.0)
-        with pytest.raises(Converged):
+                          ell_w=np.array([1.0, 0.0]), alignment=1.0, J=0.0,
+                          scan=Projections(p, zero=False))
+        with pytest.raises(Stop, match="converged"):
             select(p, state)
 
     def test_captree_matches_linear_scan(self, rng):
@@ -77,7 +77,7 @@ class TestSelect:
             for _ in range(3):
                 try:
                     plain = select(p, state)
-                except (Converged, DegenerateStep):
+                except Stop:
                     break
                 resid = p.unit_target - state.alignment * state.ell_w
                 d_t = resid / np.linalg.norm(resid)
@@ -88,7 +88,7 @@ class TestSelect:
                 if p.n > 1 and scores[-1] - scores[-2] > 1e-9:
                     assert tree_n == plain.n_t
                 step_size(p, state, plain)
-                state = update(p, state, plain)
+                update(p, state, plain)
 
 
 def _traced(p, state):
@@ -112,15 +112,14 @@ class TestStepSize:
     def test_coincident_point_degenerates(self):
         p, state = two_orth_state_after_first_pick()
         trace = giga.IterationTrace(n_t=0, score=0.0,
-                                    zeta0=state.alignment,
-                                    zeta1=state.alignment, zeta2=1.0)
-        with pytest.raises(DegenerateStep):
+                                    zeta0=state.alignment, zeta2=1.0)
+        with pytest.raises(Stop, match="degenerate step"):
             step_size(p, state, trace)
 
     def test_large_clamp_emits_warning(self):
         p, state = two_orth_state_after_first_pick()
-        trace = giga.IterationTrace(n_t=1, score=0.5,
-                                    zeta0=0.9, zeta1=0.1, zeta2=0.5)
+        state.alignment = 0.1
+        trace = giga.IterationTrace(n_t=1, score=0.5, zeta0=0.9, zeta2=0.5)
         with pytest.warns(RuntimeWarning, match="clamped"):
             g = step_size(p, state, trace)
         assert g == 1.0
@@ -135,47 +134,55 @@ class TestStepSize:
                 try:
                     trace = select(p, state)
                     g = step_size(p, state, trace)
-                except (Converged, DegenerateStep):
+                except Stop:
                     break
                 assert 0.0 <= g <= 1.0
-                state = update(p, state, trace)
+                update(p, state, trace)
 
 
 class TestUpdate:
     def test_two_orth_exact_recovery_at_step_two(self):
         p, state = two_orth_state_after_first_pick()
-        trace = _traced(p, state)
-        new = update(p, state, trace)
-        np.testing.assert_allclose(new.ell_w, p.unit_target, atol=1e-15)
-        np.testing.assert_allclose(new.weights, [1 / np.sqrt(2)] * 2, atol=1e-12)
-        assert new.alignment == pytest.approx(1.0, abs=1e-12)
+        update(p, state, _traced(p, state))
+        np.testing.assert_allclose(state.ell_w, p.unit_target, atol=1e-15)
+        np.testing.assert_allclose(state.weights, [1 / np.sqrt(2)] * 2, atol=1e-12)
+        assert state.alignment == pytest.approx(1.0, abs=1e-12)
 
     def test_full_step_lands_on_selected_vector(self):
         p = build_problem(TWO_ORTH)
         state = initial_state(p)
-        new = update(p, state, _traced(p, state))
-        np.testing.assert_allclose(new.ell_w, p.unit_vectors[0], atol=1e-15)
-        np.testing.assert_array_equal(new.weights, [1.0, 0.0])
+        update(p, state, _traced(p, state))
+        np.testing.assert_allclose(state.ell_w, p.unit_vectors[0], atol=1e-15)
+        np.testing.assert_array_equal(state.weights, [1.0, 0.0])
 
     def test_zero_step_is_fixed_point(self):
         p, state = two_orth_state_after_first_pick()
-        trace = giga.IterationTrace(n_t=1, score=1.0, zeta0=0.0, zeta1=0.0,
-                                    zeta2=0.0, gamma=0.0)
-        new = update(p, state, trace)
-        np.testing.assert_array_equal(new.ell_w, state.ell_w)
-        np.testing.assert_array_equal(new.weights, state.weights)
-        assert new.alignment == pytest.approx(state.alignment)
-        assert new.t == state.t + 1
+        trace = giga.IterationTrace(n_t=1, score=1.0, zeta0=0.0, zeta2=0.0,
+                                    gamma=0.0)
+        ell_w, weights, alignment = state.ell_w, state.weights.copy(), state.alignment
+        update(p, state, trace)
+        np.testing.assert_array_equal(state.ell_w, ell_w)
+        np.testing.assert_array_equal(state.weights, weights)
+        assert state.alignment == pytest.approx(alignment)
+        assert state.t == 2
 
     def test_collapsed_iterate_guard(self):
         p = build_problem([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])
         state = GigaState(t=1, weights=np.array([1.0, 0.0, 0.0]),
                           ell_w=np.array([1.0, 0.0]),
-                          alignment=0.0, J=1.0)
-        trace = giga.IterationTrace(n_t=1, score=0.1, zeta0=0.0, zeta1=0.0,
-                                    zeta2=-1.0, gamma=0.5)
+                          alignment=0.0, J=1.0, scan=Projections(p, zero=False))
+        trace = giga.IterationTrace(n_t=1, score=0.1, zeta0=0.0, zeta2=-1.0,
+                                    gamma=0.5)
         with pytest.raises(RuntimeError, match="collapsed iterate"):
             update(p, state, trace)
+
+    def test_advances_the_state_in_place(self):
+        p = build_problem(np.random.default_rng(8).normal(size=(30, 4)))
+        state = initial_state(p)
+        scan = state.scan
+        for t in range(1, 6):
+            assert update(p, state, _traced(p, state)) is None
+            assert state.t == t and state.scan is scan
 
     def test_unit_iterate_despite_caching(self, rng):
         p = random_problem(rng, max_n=50, max_dim=10)
@@ -183,9 +190,9 @@ class TestUpdate:
         for _ in range(min(30, p.n + 2)):
             try:
                 trace = _traced(p, state)
-            except (Converged, DegenerateStep):
+            except Stop:
                 break
-            state = update(p, state, trace)
+            update(p, state, trace)
             assert np.linalg.norm(state.ell_w) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -232,6 +239,20 @@ class TestRun:
         p = build_problem(TWO_ORTH)
         with pytest.raises(ValueError):
             run(p, 0)
+
+    def test_one_state_per_run(self, monkeypatch):
+        made = []
+
+        class CountedState(GigaState):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(giga, "GigaState", CountedState)
+        p = build_problem(np.random.default_rng(9).normal(size=(200, 60)))
+        _, diag = run(p, 50)
+        assert len(diag.traces) == 50
+        assert len(made) == 1
 
     def test_axis_problem_error_formula(self):
         # brute-force oracle agrees with the symmetry value sqrt(1 - M/N)

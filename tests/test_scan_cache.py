@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from corebench import baselines, giga
-from corebench.hilbert import RENORM_INTERVAL, Projections, build_problem, relative_error
+from corebench.hilbert import RENORM_INTERVAL, Projections, Stop, build_problem, relative_error
 
 MARGIN = 1e-9
 STEPS = 3 * RENORM_INTERVAL
@@ -43,14 +43,15 @@ def top_two_margin(values):
 def reference_giga_picks(problem, M):
     """GIGA picks scored by cap_objective from fresh products at every step.
 
-    The state carries no projections, so update() moves the iterate exactly
-    as in a cached run; the list ends where the run stops (the residual
+    The state's projections are never read, so update() moves the iterate
+    exactly as in a cached run; the list ends where the run stops (the residual
     norm r at ``problem.floor``), or before the first step whose top-two
     margin is at most MARGIN, or, once r is at most zero_tol(d), at most
     the scores' rounding SCORE_ROUNDING / r.
     """
     state = giga.GigaState(t=0, weights=np.zeros(problem.n),
-                           ell_w=np.zeros(problem.dimension), alignment=0.0, J=1.0)
+                           ell_w=np.zeros(problem.dimension), alignment=0.0, J=1.0,
+                           scan=Projections(problem, zero=False))
     picks = []
     for _ in range(M):
         resid = problem.unit_target - state.alignment * state.ell_w
@@ -68,13 +69,12 @@ def reference_giga_picks(problem, M):
         trace = giga.IterationTrace(
             n_t=n_t, score=float(scores[n_t]),
             zeta0=float(problem.unit_vectors[n_t] @ problem.unit_target),
-            zeta1=state.alignment,
             zeta2=float(problem.unit_vectors[n_t] @ state.ell_w))
         try:
             giga.step_size(problem, state, trace)
-        except giga.DegenerateStep:
+        except Stop:
             break
-        state = giga.update(problem, state, trace)
+        giga.update(problem, state, trace)
         picks.append(n_t)
     return picks
 
@@ -227,27 +227,14 @@ def test_step_with_a_projection_computes_no_column():
     assert len(scan) == 1 and U.products == 2
 
 
-def test_hand_built_state_without_projections():
-    p = build_problem(np.random.default_rng(2).normal(size=(30, 4)))
-    state = giga.initial_state(p)
-    state.scan = None
-    trace = giga.select(p, state)
-    assert isinstance(state.scan, Projections)
-    np.testing.assert_array_equal(state.scan.of(state.ell_w), np.zeros(p.n))
-    giga.step_size(p, state, trace)
-    new = giga.update(p, state, trace)
-    assert new.scan is state.scan
-    assert giga.select(p, new).n_t == giga.run(p, 2)[1].traces[1].n_t
-
-
 def test_hand_built_state_away_from_zero_recomputes_projections():
     p = build_problem(np.random.default_rng(4).normal(size=(30, 4)))
     state = giga.initial_state(p)
     for _ in range(5):
         trace = giga.select(p, state)
         giga.step_size(p, state, trace)
-        state = giga.update(p, state, trace)
-    hand = dataclasses.replace(state, scan=None)
+        giga.update(p, state, trace)
+    hand = dataclasses.replace(state, scan=Projections(p, zero=False))
     assert giga.select(p, hand).n_t == giga.select(p, state).n_t
     np.testing.assert_allclose(hand.scan.of(hand.ell_w), p.unit_vectors @ state.ell_w,
                                rtol=0, atol=1e-14)
