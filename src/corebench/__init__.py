@@ -5,12 +5,14 @@ Frank-Wolfe / importance-sampling / uniform-subsampling baselines, Bayesian
 model embeddings, and a benchmark CLI.
 """
 
-from .baselines import FwDiagnostics, fw_coreset, is_coreset, rnd_coreset, sampling_sweep
-from .giga import GigaDiagnostics, GigaState, IterationTrace
+from .baselines import fw_coreset, is_coreset, rnd_coreset, sampling_sweep
+from .giga import GigaState
 from .giga import finalize as giga_finalize
 from .giga import run as giga_run
 from .hilbert import (
     CoresetProblem,
+    Run,
+    Step,
     WeightVector,
     build_problem,
     relative_error,
@@ -31,13 +33,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoresetProblem",
-    "FwDiagnostics",
     "GaussianMeanData",
-    "GigaDiagnostics",
     "GigaState",
-    "IterationTrace",
     "LaplaceApprox",
     "RegressionData",
+    "Run",
+    "Step",
     "WeightVector",
     "build_problem",
     "coreset_posterior_variance",

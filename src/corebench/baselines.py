@@ -16,8 +16,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .hilbert import (
@@ -25,6 +23,8 @@ from .hilbert import (
     ZERO_TOL_COEFF,
     CoresetProblem,
     Projections,
+    Run,
+    Step,
     Stop,
     WeightVector,
     iterate,
@@ -35,24 +35,18 @@ from .hilbert import (
 FLOOR_MULTIPLE = 4
 
 
-@dataclass
-class FwDiagnostics:
-    selected: list[int] = field(default_factory=list)
-    gammas: list[float] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)  # cumulative thread CPU seconds
-    stop_reason: str | None = None
-    snapshots: dict[int, WeightVector] = field(default_factory=dict)
-
-
 def fw_coreset(problem: CoresetProblem, M: int,
-               checkpoints=None) -> tuple[WeightVector, FwDiagnostics]:
-    """Frank-Wolfe with exact line search on the simplex-scaled polytope.
+               checkpoints=None) -> tuple[WeightVector, Run]:
+    """Frank-Wolfe with exact line search on the simplex-scaled polytope;
+    returns the weights and the ``hilbert.Run`` record.
 
     Initializes at the vertex most aligned with L, then for each of the
     remaining M - 1 iterations picks n_t = argmax_n <v_n, L - L(w_t)> (ties
     to the lowest index) and steps with
     gamma = <v_{n_t} - L(w_t), L - L(w_t)> / ||v_{n_t} - L(w_t)||^2 clamped
-    to [0, 1]. The iterate L(w_t) is cached and updated incrementally.
+    to [0, 1]. The iterate L(w_t) is cached and updated incrementally. Each
+    step's ``hilbert.Step`` carries the Frank-Wolfe gap, the numerator of
+    gamma, as its score (<v_{n_1}, L> at t = 1), and no residual.
 
     Since scale_n <V_n, L - L(w)> = sigma <ell_n, L - L(w)>, the scan is
     argmax_n (||L|| unit_scores_n - (U @ L(w_t))_n) over projections that a
@@ -68,7 +62,6 @@ def fw_coreset(problem: CoresetProblem, M: int,
     is feasible, the optimum is 0, and such a residual is rounding that no
     further step can remove (see Jaggi, ICML 2013, on FW certificates).
     """
-    diag = FwDiagnostics()
     V = problem.vectors
     sigma = problem.sigma_total
     scale = sigma / problem.norms                    # vertex n is scale[n] * V[n]
@@ -88,6 +81,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
             gamma = 1.0
             w[n_t] = scale[n_t]
             Lw = scale[n_t] * V[n_t]
+            gap = float(Lw @ L)
             scan.move(n_t, 0.0, sigma)
         else:
             resync = (t - 1) % RENORM_INTERVAL == 0
@@ -103,17 +97,15 @@ def fw_coreset(problem: CoresetProblem, M: int,
             # fixed, not the floor: on sigma's scale already, it guards a zero division
             if denom <= (ZERO_TOL_COEFF * sigma) ** 2:
                 raise Stop("degenerate line search")
-            gamma = min(max(float(direction @ resid) / denom, 0.0), 1.0)
+            gap = float(direction @ resid)
+            gamma = min(max(gap / denom, 0.0), 1.0)
             w *= 1.0 - gamma
             w[n_t] += gamma * scale[n_t]
             Lw = (1.0 - gamma) * Lw + gamma * vertex
             scan.move(n_t, 1.0 - gamma, gamma * sigma, drop=resync)
-        diag.selected.append(n_t)
-        diag.gammas.append(gamma)
+        return Step(n_t, gamma, gap)
 
-    final, diag.snapshots, diag.times, diag.stop_reason = iterate(
-        step, lambda: WeightVector.from_dense(w), M, checkpoints)
-    return final, diag
+    return iterate(step, lambda: WeightVector.from_dense(w), M, checkpoints)
 
 
 def is_coreset(problem: CoresetProblem, M: int, seed) -> WeightVector:

@@ -9,10 +9,12 @@ L = sum_n L_n:
 
     alpha* = (||L|| / ||L(w)||) * max{0, <ell(w), ell>}.
 
-A run keeps one ``GigaState``: ``update`` advances it in place by O(1)
-vector operations per step (storage option with cached sums). w_t is kept as
-a dense array over the problem's kept indexing and sparsified only on output.
-A step that cannot improve the iterate raises ``hilbert.Stop``.
+A run keeps one ``GigaState``. Each step is ``select`` (the pick and its
+score), ``step_size`` (the line-search step) and ``update``, which advances
+the state in place by O(1) vector operations (storage option with cached
+sums); the steps pass plain values and return a ``hilbert.Step``. w_t is
+kept as a dense array over the problem's kept indexing and sparsified only
+on output. A step that cannot improve the iterate raises ``hilbert.Stop``.
 
 The selection scan needs <ell_n, d_t> and <ell_n, ell(w_t)> for every n.
 Since d_t = (ell - <ell(w_t), ell> ell(w_t)) / ||.||, both follow from the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .hilbert import (
     RENORM_INTERVAL,
     CoresetProblem,
     Projections,
+    Run,
+    Step,
     Stop,
     WeightVector,
     iterate,
@@ -84,28 +88,6 @@ class GigaState:
     scan: Projections
 
 
-@dataclass
-class IterationTrace:
-    """Per-step intermediates: selected index, geodesic alignment score,
-    the line-search inner products besides the alignment, and the step size."""
-
-    n_t: int
-    score: float
-    zeta0: float   # <ell, ell_{n_t}>
-    zeta2: float   # <ell_{n_t}, ell(w_t)>
-    gamma: float = float("nan")
-
-
-@dataclass
-class GigaDiagnostics:
-    traces: list[IterationTrace] = field(default_factory=list)
-    alignments: list[float] = field(default_factory=list)
-    costs: list[float] = field(default_factory=list)       # J_t per step
-    times: list[float] = field(default_factory=list)  # cumulative thread CPU seconds
-    stop_reason: str | None = None
-    snapshots: dict[int, WeightVector] = field(default_factory=dict)
-
-
 def initial_state(problem: CoresetProblem) -> GigaState:
     """The run's state at w = 0, where the residual is ell itself."""
     return GigaState(t=0, weights=np.zeros(problem.n),
@@ -114,8 +96,9 @@ def initial_state(problem: CoresetProblem) -> GigaState:
                      scan=Projections(problem))
 
 
-def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
-    """Pick the point whose geodesic direction best matches the residual.
+def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
+    """Pick the point whose geodesic direction best matches the residual;
+    returns its row n_t and its score.
 
     Computes d_t = (ell - <ell, ell(w)> ell(w)) / ||.|| and maximizes
     <d_t, d_tn> over n, where d_tn is the analogous tangent toward ell_n
@@ -138,27 +121,23 @@ def select(problem: CoresetProblem, state: GigaState) -> IterationTrace:
     score = float(scores[n_t])
     if score <= 0.0:
         raise Stop("converged")
-
-    return IterationTrace(
-        n_t=n_t,
-        score=score,
-        zeta0=float(problem.unit_vectors[n_t] @ problem.unit_target),
-        zeta2=float(problem.unit_vectors[n_t] @ state.ell_w),
-    )
+    return n_t, score
 
 
-def step_size(problem: CoresetProblem, state: GigaState,
-              trace: IterationTrace) -> float:
-    """Closed-form geodesic line search step, clamped to [0, 1].
+def step_size(problem: CoresetProblem, state: GigaState, n_t: int) -> float:
+    """Closed-form geodesic line search step toward row n_t, clamped to [0, 1].
 
-    gamma = (z0 - z1 z2) / ((z0 - z1 z2) + (z1 - z0 z2)), z1 = state.alignment;
-    feasibility of the unclamped optimum holds in exact arithmetic, so
-    clamping beyond CLAMP_WARN_TOL triggers a numerical warning. A vanishing
-    denominator (coincident points) raises Stop("degenerate step").
+    gamma = (z0 - z1 z2) / ((z0 - z1 z2) + (z1 - z0 z2)) with z0 = <ell_{n_t}, ell>,
+    z1 = state.alignment and z2 = <ell_{n_t}, ell(w_t)>; the state is not
+    changed. Feasibility of the unclamped optimum holds in exact arithmetic,
+    so clamping beyond CLAMP_WARN_TOL triggers a numerical warning. A
+    vanishing denominator (coincident points) raises Stop("degenerate step").
     """
+    z0 = float(problem.unit_vectors[n_t] @ problem.unit_target)
     z1 = state.alignment
-    a = trace.zeta0 - z1 * trace.zeta2
-    b = z1 - trace.zeta0 * trace.zeta2
+    z2 = float(problem.unit_vectors[n_t] @ state.ell_w)
+    a = z0 - z1 * z2
+    b = z1 - z0 * z2
     denom = a + b
     if denom <= STEP_DENOM_TOL:
         raise Stop("degenerate step")
@@ -169,29 +148,27 @@ def step_size(problem: CoresetProblem, state: GigaState,
             f"line-search step {raw:.3e} clamped to [0, 1] at t={state.t}",
             RuntimeWarning,
         )
-    trace.gamma = gamma
     return gamma
 
 
-def update(problem: CoresetProblem, state: GigaState,
-           trace: IterationTrace) -> None:
-    """Advance the state in place: move along the geodesic and renormalize
-    both the cached iterate and the weights by the same norm.
+def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) -> None:
+    """Advance the state in place by step size gamma toward row n_t: move
+    along the geodesic and renormalize both the cached iterate and the
+    weights by the same norm.
 
     The carried projections follow the same move and are dropped every
     RENORM_INTERVAL steps. Weights and the iterate never depend on them.
     """
-    g = trace.gamma
-    if not (0.0 <= g <= 1.0):
-        raise ValueError(f"step size {g} outside [0, 1]")
-    direction = (1.0 - g) * state.ell_w + g * problem.unit_vectors[trace.n_t]
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError(f"step size {gamma} outside [0, 1]")
+    direction = (1.0 - gamma) * state.ell_w + gamma * problem.unit_vectors[n_t]
     nrm = float(np.linalg.norm(direction))
     if nrm <= zero_tol(problem.dimension):
         raise RuntimeError("collapsed iterate")
 
-    a, b = (1.0 - g) / nrm, g / nrm
+    a, b = (1.0 - gamma) / nrm, gamma / nrm
     state.weights *= a
-    state.weights[trace.n_t] += b
+    state.weights[n_t] += b
     state.ell_w = direction / nrm
     state.t += 1
     resync = state.t % RENORM_INTERVAL == 0
@@ -199,7 +176,7 @@ def update(problem: CoresetProblem, state: GigaState,
         drift = float(np.linalg.norm(state.ell_w))
         state.ell_w /= drift
         state.weights /= drift
-    state.scan.move(trace.n_t, a, b, drop=resync)
+    state.scan.move(n_t, a, b, drop=resync)
 
     state.alignment = float(state.ell_w @ problem.unit_target)
     resid = problem.unit_target - state.alignment * state.ell_w
@@ -220,28 +197,25 @@ def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
 
 
 def run(problem: CoresetProblem, M: int, *,
-        checkpoints=None) -> tuple[WeightVector, GigaDiagnostics]:
-    """Run up to M greedy iterations and return finalized weights.
+        checkpoints=None) -> tuple[WeightVector, Run]:
+    """Run up to M greedy iterations and return the finalized weights and
+    the ``hilbert.Run`` record.
 
-    The run's one state is advanced in place. An early stop ("trivial" /
-    "converged" / "degenerate step") is recorded in the diagnostics rather
-    than raised. When ``checkpoints`` is given, a finalized snapshot of the
-    weights is captured after each listed iteration count (snapshots after
-    an early stop repeat the final state).
+    The run's one state is advanced in place, and each step records its
+    pick, step size, score and residual norm sqrt(J) as a ``hilbert.Step``.
+    An early stop ("trivial" / "converged" / "degenerate step") is recorded
+    as the run's stop reason rather than raised. When ``checkpoints`` is
+    given, a finalized snapshot of the weights is captured after each listed
+    iteration count (snapshots after an early stop repeat the final state).
     """
-    diag = GigaDiagnostics()
     state = initial_state(problem)
 
     def step(t):
         if problem.trivial:
             raise Stop("trivial")
-        trace = select(problem, state)
-        step_size(problem, state, trace)
-        update(problem, state, trace)
-        diag.traces.append(trace)
-        diag.alignments.append(state.alignment)
-        diag.costs.append(state.J)
+        n_t, score = select(problem, state)
+        gamma = step_size(problem, state, n_t)
+        update(problem, state, n_t, gamma)
+        return Step(n_t, gamma, score, math.sqrt(state.J))
 
-    final, diag.snapshots, diag.times, diag.stop_reason = iterate(
-        step, lambda: finalize(problem, state), M, checkpoints)
-    return final, diag
+    return iterate(step, lambda: finalize(problem, state), M, checkpoints)

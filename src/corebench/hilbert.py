@@ -17,7 +17,7 @@ below ``floor = eps * sigma / ||L||``. GIGA and FW stop once they reach it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -189,37 +189,66 @@ class Stop(Exception):
         super().__init__(self.reason)
 
 
-def iterate(step, snapshot, M: int, checkpoints=None):
+@dataclass(frozen=True)
+class Step:
+    """What one construction step did: the row ``n_t`` it picked, its step
+    size ``gamma`` and the pick's ``score``, which is GIGA's geodesic score
+    or FW's Frank-Wolfe gap <v_{n_t} - L(w), L - L(w)>. ``residual`` is
+    GIGA's residual norm sqrt(J) after the step, and None for FW."""
+
+    n_t: int
+    gamma: float
+    score: float
+    residual: float | None = None
+
+
+@dataclass(eq=False)
+class Run:
+    """What a construction run records: one ``Step`` per completed step,
+    the cumulative CPU seconds of the calling thread after each (BLAS
+    helper threads are not counted), why it stopped early (None when the
+    whole budget ran) and the weights at each checkpoint."""
+
+    traces: list[Step] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)
+    stop_reason: str | None = None
+    snapshots: dict[int, WeightVector] = field(default_factory=dict)
+
+    @property
+    def selected(self) -> list[int]:
+        """The row picked at each completed step."""
+        return [s.n_t for s in self.traces]
+
+
+def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
     """Run one greedy construction for up to M steps.
 
-    ``step(t)`` performs step t = 1..M and raises ``Stop`` to end the run
-    early; ``snapshot()`` returns the output weights of the current
-    iterate. Returns ``(final, snapshots, times, stop_reason)``:
-    ``snapshots`` maps each checkpoint to the weights after that many
-    steps (checkpoints past an early stop get the final weights), ``times``
-    holds the cumulative CPU seconds of the calling thread after each
-    completed step (BLAS helper threads are not counted), and
-    ``stop_reason`` is None when all M steps ran.
+    ``step(t)`` performs step t = 1..M and returns its ``Step``, or raises
+    ``Stop`` to end the run early; ``snapshot()`` returns the output weights
+    of the current iterate. Returns ``(final, run)``, where
+    ``run.snapshots`` maps each checkpoint to the weights after that many
+    steps (checkpoints past an early stop get the final weights).
     """
     if M < 1:
         raise ValueError("iteration budget M must be >= 1")
     cps = set(checkpoints or ())
-    snapshots, times, stop_reason = {}, [], None
+    run = Run()
     t_start = time.thread_time()
     for t in range(1, M + 1):
         try:
-            step(t)
+            record = step(t)
         except Stop as stop:
-            stop_reason = stop.reason
+            run.stop_reason = stop.reason
             break
-        times.append(time.thread_time() - t_start)
+        run.times.append(time.thread_time() - t_start)
+        run.traces.append(record)
         if t in cps:
-            snapshots[t] = snapshot()
-    done = len(times)
-    final = snapshots[done] if done in snapshots else snapshot()
+            run.snapshots[t] = snapshot()
+    done = len(run.times)
+    final = run.snapshots[done] if done in run.snapshots else snapshot()
     for m in cps:
-        snapshots.setdefault(m, final)
-    return final, snapshots, times, stop_reason
+        run.snapshots.setdefault(m, final)
+    return final, run
 
 
 def build_problem(vectors) -> CoresetProblem:

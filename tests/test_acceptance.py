@@ -166,15 +166,15 @@ def test_c5_algorithm_invariant_suite():
         prev_J = 1.0
         for _ in range(m):
             try:
-                trace = select(problem, state)
-                gamma = step_size(problem, state, trace)
+                n_t, score = select(problem, state)
+                gamma = step_size(problem, state, n_t)
             except Stop:
                 break
             assert 0.0 <= gamma <= 1.0
-            update(problem, state, trace)
+            update(problem, state, n_t, gamma)
             assert np.linalg.norm(state.ell_w) == pytest.approx(1.0, abs=1e-8)
             assert state.alignment >= prev_align - 1e-12
-            assert state.J == pytest.approx(prev_J * (1 - trace.score ** 2), abs=1e-8)
+            assert state.J == pytest.approx(prev_J * (1 - score ** 2), abs=1e-8)
             prev_align, prev_J = state.alignment, state.J
         if state.t == 1:
             # initialization bound: <ell(w_1), ell> >= ||L|| / sigma
@@ -189,8 +189,10 @@ def test_c5_algorithm_invariant_suite():
         problem = random_problem(rng, max_n=60, max_dim=10)
         if problem.trivial or problem.n == 0:
             continue
-        _, diag = run(problem, 1)
-        assert diag.alignments[0] >= problem.target_norm / problem.sigma_total - 1e-12
+        state = initial_state(problem)
+        n_t, _ = select(problem, state)
+        update(problem, state, n_t, step_size(problem, state, n_t))
+        assert state.alignment >= problem.target_norm / problem.sigma_total - 1e-12
     report(5, True, f"step/norm/monotonicity/recursion/orthogonality/init bounds "
                     f"hold on {checked} fuzzed problems")
 

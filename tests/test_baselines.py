@@ -21,7 +21,7 @@ class TestFrankWolfe:
         np.testing.assert_allclose(weighted_sum(p, w), [0.5, 0.5, 0.0, 0.0])
         # relative error sqrt(N/M - 1) = 1 at N=4, M=2
         assert relative_error(p, w) == pytest.approx(1.0, abs=1e-12)
-        assert diag.gammas[1] == pytest.approx(0.5)
+        assert diag.traces[1].gamma == pytest.approx(0.5)
 
     def test_single_vector_exact(self):
         p = build_problem([(3.0, 4.0)])

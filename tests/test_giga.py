@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from corebench.giga import (
     step_size,
     update,
 )
-from corebench.hilbert import Projections, Stop, build_problem, relative_error
+from corebench.hilbert import Projections, Step, Stop, build_problem, relative_error
 
 from conftest import brute_force_error, random_problem
 
@@ -37,26 +39,23 @@ def two_orth_state_after_first_pick():
 class TestSelect:
     def test_tie_breaks_to_lowest_index(self):
         p = build_problem(TWO_ORTH)
-        trace = select(p, initial_state(p))
-        assert trace.n_t == 0
-        assert trace.score == pytest.approx(1.0 / np.sqrt(2))
+        n_t, score = select(p, initial_state(p))
+        assert n_t == 0
+        assert score == pytest.approx(1.0 / np.sqrt(2))
 
     def test_second_step_picks_orthogonal_complement(self):
         p, state = two_orth_state_after_first_pick()
-        trace = select(p, state)
+        n_t, score = select(p, state)
         # d_t = (0, 1); candidate 0 hits the zero convention, candidate 1 scores 1
-        assert trace.n_t == 1
-        assert trace.score == pytest.approx(1.0, abs=1e-12)
-        assert trace.zeta0 == pytest.approx(1 / np.sqrt(2))
+        assert n_t == 1
+        assert score == pytest.approx(1.0, abs=1e-12)
         assert state.alignment == pytest.approx(1 / np.sqrt(2))
-        assert trace.zeta2 == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_problem_second_pick_is_next_unused(self):
         p = build_problem(np.eye(4) / 4)
         state = initial_state(p)
-        update(p, state, _traced(p, state))
-        trace = select(p, state)
-        assert trace.n_t == 1
+        update(p, state, *_next_step(p, state))
+        assert select(p, state)[0] == 1
 
     def test_converged_when_residual_exhausted(self):
         p = build_problem([(2.0, 0.0)])
@@ -76,52 +75,50 @@ class TestSelect:
             state = initial_state(p)
             for _ in range(3):
                 try:
-                    plain = select(p, state)
+                    plain_n, plain_score = select(p, state)
                 except Stop:
                     break
                 resid = p.unit_target - state.alignment * state.ell_w
                 d_t = resid / np.linalg.norm(resid)
                 tree_n, tree_score = captree_search(tree, d_t, state.ell_w)
-                assert tree_score == pytest.approx(plain.score, abs=1e-9)
+                assert tree_score == pytest.approx(plain_score, abs=1e-9)
                 # same index whenever the maximizer is unique
                 scores = np.sort(cap_objective(p.unit_vectors, d_t, state.ell_w))
                 if p.n > 1 and scores[-1] - scores[-2] > 1e-9:
-                    assert tree_n == plain.n_t
-                step_size(p, state, plain)
-                update(p, state, plain)
+                    assert tree_n == plain_n
+                update(p, state, plain_n, step_size(p, state, plain_n))
 
 
-def _traced(p, state):
-    trace = select(p, state)
-    step_size(p, state, trace)
-    return trace
+def _next_step(p, state):
+    """The next step's row and step size."""
+    n_t, _ = select(p, state)
+    return n_t, step_size(p, state, n_t)
 
 
 class TestStepSize:
     def test_first_step_is_full(self):
         p = build_problem(TWO_ORTH)
         state = initial_state(p)
-        trace = select(p, state)
-        assert step_size(p, state, trace) == pytest.approx(1.0)
+        n_t, _ = select(p, state)
+        assert step_size(p, state, n_t) == pytest.approx(1.0)
 
     def test_two_orth_second_step_is_half(self):
         p, state = two_orth_state_after_first_pick()
-        trace = select(p, state)
-        assert step_size(p, state, trace) == pytest.approx(0.5)
+        n_t, _ = select(p, state)
+        assert step_size(p, state, n_t) == pytest.approx(0.5)
 
     def test_coincident_point_degenerates(self):
+        # row 0 is the iterate itself
         p, state = two_orth_state_after_first_pick()
-        trace = giga.IterationTrace(n_t=0, score=0.0,
-                                    zeta0=state.alignment, zeta2=1.0)
         with pytest.raises(Stop, match="degenerate step"):
-            step_size(p, state, trace)
+            step_size(p, state, 0)
 
     def test_large_clamp_emits_warning(self):
+        # an alignment of -0.1 toward row 1 (z0 = 1/sqrt(2), z2 = 0) gives a raw step of 1.165
         p, state = two_orth_state_after_first_pick()
-        state.alignment = 0.1
-        trace = giga.IterationTrace(n_t=1, score=0.5, zeta0=0.9, zeta2=0.5)
+        state.alignment = -0.1
         with pytest.warns(RuntimeWarning, match="clamped"):
-            g = step_size(p, state, trace)
+            g = step_size(p, state, 1)
         assert g == 1.0
 
     def test_gamma_always_feasible(self, rng):
@@ -132,18 +129,17 @@ class TestStepSize:
             state = initial_state(p)
             for _ in range(min(20, p.n + 3)):
                 try:
-                    trace = select(p, state)
-                    g = step_size(p, state, trace)
+                    n_t, g = _next_step(p, state)
                 except Stop:
                     break
                 assert 0.0 <= g <= 1.0
-                update(p, state, trace)
+                update(p, state, n_t, g)
 
 
 class TestUpdate:
     def test_two_orth_exact_recovery_at_step_two(self):
         p, state = two_orth_state_after_first_pick()
-        update(p, state, _traced(p, state))
+        update(p, state, *_next_step(p, state))
         np.testing.assert_allclose(state.ell_w, p.unit_target, atol=1e-15)
         np.testing.assert_allclose(state.weights, [1 / np.sqrt(2)] * 2, atol=1e-12)
         assert state.alignment == pytest.approx(1.0, abs=1e-12)
@@ -151,16 +147,14 @@ class TestUpdate:
     def test_full_step_lands_on_selected_vector(self):
         p = build_problem(TWO_ORTH)
         state = initial_state(p)
-        update(p, state, _traced(p, state))
+        update(p, state, *_next_step(p, state))
         np.testing.assert_allclose(state.ell_w, p.unit_vectors[0], atol=1e-15)
         np.testing.assert_array_equal(state.weights, [1.0, 0.0])
 
     def test_zero_step_is_fixed_point(self):
         p, state = two_orth_state_after_first_pick()
-        trace = giga.IterationTrace(n_t=1, score=1.0, zeta0=0.0, zeta2=0.0,
-                                    gamma=0.0)
         ell_w, weights, alignment = state.ell_w, state.weights.copy(), state.alignment
-        update(p, state, trace)
+        update(p, state, 1, 0.0)
         np.testing.assert_array_equal(state.ell_w, ell_w)
         np.testing.assert_array_equal(state.weights, weights)
         assert state.alignment == pytest.approx(alignment)
@@ -171,17 +165,15 @@ class TestUpdate:
         state = GigaState(t=1, weights=np.array([1.0, 0.0, 0.0]),
                           ell_w=np.array([1.0, 0.0]),
                           alignment=0.0, J=1.0, scan=Projections(p, zero=False))
-        trace = giga.IterationTrace(n_t=1, score=0.1, zeta0=0.0, zeta2=-1.0,
-                                    gamma=0.5)
         with pytest.raises(RuntimeError, match="collapsed iterate"):
-            update(p, state, trace)
+            update(p, state, 1, 0.5)
 
     def test_advances_the_state_in_place(self):
         p = build_problem(np.random.default_rng(8).normal(size=(30, 4)))
         state = initial_state(p)
         scan = state.scan
         for t in range(1, 6):
-            assert update(p, state, _traced(p, state)) is None
+            assert update(p, state, *_next_step(p, state)) is None
             assert state.t == t and state.scan is scan
 
     def test_unit_iterate_despite_caching(self, rng):
@@ -189,10 +181,10 @@ class TestUpdate:
         state = initial_state(p)
         for _ in range(min(30, p.n + 2)):
             try:
-                trace = _traced(p, state)
+                n_t, g = _next_step(p, state)
             except Stop:
                 break
-            update(p, state, trace)
+            update(p, state, n_t, g)
             assert np.linalg.norm(state.ell_w) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -283,22 +275,29 @@ class TestRun:
             p = random_problem(rng, max_n=40, max_dim=8)
             if p.trivial or p.n == 0:
                 continue
-            _, diag = run(p, 1)
-            assert diag.alignments[0] >= p.target_norm / p.sigma_total - 1e-12
+            state = initial_state(p)
+            update(p, state, *_next_step(p, state))
+            assert state.alignment >= p.target_norm / p.sigma_total - 1e-12
 
     def test_alignment_monotone_and_cost_recursion(self, rng):
+        # the run's steps are those of stepping by hand, whose state holds
+        # the alignment and the cost J = residual^2
         for _ in range(60):
             p = random_problem(rng, max_n=50, max_dim=10)
             if p.trivial or p.n == 0:
                 continue
             _, diag = run(p, 25)
-            aligns = np.array(diag.alignments)
-            assert np.all(np.diff(aligns) >= -1e-12)
-            # cost recursion J_{t+1} = J_t (1 - score^2) from stored traces
-            J_prev = 1.0
-            for trace, J in zip(diag.traces, diag.costs):
-                assert J == pytest.approx(J_prev * (1 - trace.score ** 2), abs=1e-8)
-                J_prev = J
+            state = initial_state(p)
+            align_prev, J_prev = -np.inf, 1.0
+            for record in diag.traces:
+                n_t, score = select(p, state)
+                gamma = step_size(p, state, n_t)
+                update(p, state, n_t, gamma)
+                assert record == Step(n_t, gamma, score, math.sqrt(state.J))
+                assert state.alignment >= align_prev - 1e-12
+                # cost recursion J_{t+1} = J_t (1 - score^2)
+                assert state.J == pytest.approx(J_prev * (1 - score ** 2), abs=1e-8)
+                align_prev, J_prev = state.alignment, state.J
 
     def test_size_bounded_by_budget(self, rng):
         for _ in range(30):

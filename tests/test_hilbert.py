@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as nps
 from corebench.baselines import fw_coreset, is_coreset, rnd_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import (
+    Step,
     Stop,
     WeightVector,
     build_problem,
@@ -134,16 +135,18 @@ class TestIterate:
             if t == 3:
                 raise Stop("halted")
             done.append(t)
+            return -t
 
-        final, snaps, times, reason = iterate(step, lambda: len(done), 6,
-                                              checkpoints=[1, 2, 5])
-        assert (final, reason, len(times)) == (2, "halted", 2)
-        assert snaps == {1: 1, 2: 2, 5: 2}
-        assert times == sorted(times)
+        final, run = iterate(step, lambda: len(done), 6, checkpoints=[1, 2, 5])
+        assert (final, run.stop_reason, len(run.times)) == (2, "halted", 2)
+        assert run.traces == [-1, -2]
+        assert run.snapshots == {1: 1, 2: 2, 5: 2}
+        assert run.times == sorted(run.times)
 
     def test_full_budget_has_no_stop_reason(self):
-        final, snaps, times, reason = iterate(lambda t: None, lambda: "w", 4)
-        assert (final, snaps, len(times), reason) == ("w", {}, 4, None)
+        final, run = iterate(lambda t: Step(t, 1.0, 0.5), lambda: "w", 4)
+        assert (final, run.snapshots, len(run.times), run.stop_reason) == ("w", {}, 4, None)
+        assert run.selected == [1, 2, 3, 4]
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="M must be >= 1"):
@@ -162,8 +165,8 @@ class TestIterate:
             helper.start()
             helper.join()
 
-        _, _, times, _ = iterate(step, lambda: "w", 1)
-        assert times[0] < 0.05
+        _, run = iterate(step, lambda: "w", 1)
+        assert run.times[0] < 0.05
 
     @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
     def test_trivial_problem_takes_no_step(self, construct):

@@ -66,15 +66,11 @@ def reference_giga_picks(problem, M):
             margin = max(MARGIN, SCORE_ROUNDING / resid_norm)
         if top_two_margin(scores) <= margin or scores[n_t] <= 0.0:
             break
-        trace = giga.IterationTrace(
-            n_t=n_t, score=float(scores[n_t]),
-            zeta0=float(problem.unit_vectors[n_t] @ problem.unit_target),
-            zeta2=float(problem.unit_vectors[n_t] @ state.ell_w))
         try:
-            giga.step_size(problem, state, trace)
+            gamma = giga.step_size(problem, state, n_t)
         except Stop:
             break
-        giga.update(problem, state, trace)
+        giga.update(problem, state, n_t, gamma)
         picks.append(n_t)
     return picks
 
@@ -163,9 +159,8 @@ def test_giga_picks_match_fresh_product_scan(rng, carriers):
         _, diag = giga.run(p, STEPS)
         assert carriers[-1].peak <= p.dimension
         full += carriers[-1].peak == p.dimension
-        picks = [tr.n_t for tr in diag.traces]
         ref = reference_giga_picks(p, STEPS)
-        assert picks[:len(ref)] == ref
+        assert diag.selected[:len(ref)] == ref
         compared += len(ref)
     assert compared >= 24 * 20
     assert full >= 12        # most runs fill the cache and go on without it
@@ -231,11 +226,10 @@ def test_hand_built_state_away_from_zero_recomputes_projections():
     p = build_problem(np.random.default_rng(4).normal(size=(30, 4)))
     state = giga.initial_state(p)
     for _ in range(5):
-        trace = giga.select(p, state)
-        giga.step_size(p, state, trace)
-        giga.update(p, state, trace)
+        n_t, _ = giga.select(p, state)
+        giga.update(p, state, n_t, giga.step_size(p, state, n_t))
     hand = dataclasses.replace(state, scan=Projections(p, zero=False))
-    assert giga.select(p, hand).n_t == giga.select(p, state).n_t
+    assert giga.select(p, hand)[0] == giga.select(p, state)[0]
     np.testing.assert_allclose(hand.scan.of(hand.ell_w), p.unit_vectors @ state.ell_w,
                                rtol=0, atol=1e-14)
 
@@ -244,12 +238,13 @@ def test_cost_keeps_digits_below_float_resolution_of_alignment():
     p = build_problem(np.random.default_rng(3).normal(size=(2000, 50)))
     M = 220
     _, diag = giga.run(p, M, checkpoints=range(1, M + 1))
+    residuals = [s.residual for s in diag.traces]
     checked = 0
-    for m in range(1, len(diag.costs) + 1):
+    for m in range(1, len(residuals) + 1):
         err = relative_error(p, diag.snapshots[m])
         if err > 1e-11:
-            assert np.sqrt(diag.costs[m - 1]) == pytest.approx(err, rel=1e-3)
+            assert residuals[m - 1] == pytest.approx(err, rel=1e-3)
             checked += 1
     assert checked >= 150
     # errors below 1e-8 are where 1 - alignment^2 had no digits left
-    assert min(np.sqrt(diag.costs[:checked])) < 1e-8
+    assert min(residuals[:checked]) < 1e-8
