@@ -73,6 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_unwritten(fh) -> None:
+    """Point a failed output's descriptor at the null device, so that the
+    rows still buffered go nowhere when the file is closed or stdout is
+    flushed at exit, instead of failing a second time."""
+    with contextlib.suppress(OSError, ValueError):
+        fd = fh.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, fd)
+        finally:
+            os.close(null)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
@@ -100,7 +113,15 @@ def main(argv=None) -> int:
         except DataError as exc:
             print(f"corebench: data error: {exc}", file=sys.stderr)
             return 2
-        write_csv(rows, fh)
+        try:
+            write_csv(rows, fh)
+            fh.flush()
+            if out_path:
+                fh.close()      # a failing close at the end of the with would escape
+        except OSError as exc:
+            _discard_unwritten(fh)
+            parser.exit(1, f"{parser.prog}: error: cannot write {out_path or 'stdout'}: "
+                           f"{exc.strerror or exc}\n")
     return 0
 
 

@@ -7,7 +7,9 @@ All geometry is Euclidean on the stored coordinates; model-specific inner
 products are absorbed into the embedding that produced the vectors.
 
 Zero-norm convention: u / ||u|| := 0 whenever ||u|| <= zero_tol(dim), with a
-scale-aware tolerance guarding against catastrophic cancellation.
+scale-aware tolerance guarding against catastrophic cancellation. For the
+input rows and their sum, the tolerance is relative to the largest row norm,
+so a problem does not depend on the units of its data.
 
 Float floor: summing N terms of norm sigma_n in float64 carries a rounding
 error of order eps * sigma, so no weights resolve L to a relative error
@@ -226,12 +228,15 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
     ``step(t)`` performs step t = 1..M and returns its ``Step``, or raises
     ``Stop`` to end the run early; ``snapshot()`` returns the output weights
     of the current iterate. Returns ``(final, run)``, where
-    ``run.snapshots`` maps each checkpoint to the weights after that many
-    steps (checkpoints past an early stop get the final weights).
+    ``run.snapshots`` maps each checkpoint (each at least 1) to the weights
+    after that many steps (checkpoints past an early stop get the final
+    weights).
     """
     if M < 1:
         raise ValueError("iteration budget M must be >= 1")
     cps = set(checkpoints or ())
+    if any(m < 1 for m in cps):
+        raise ValueError("checkpoints must be >= 1")
     run = Run()
     t_start = time.thread_time()
     for t in range(1, M + 1):
@@ -254,9 +259,11 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
 def build_problem(vectors) -> CoresetProblem:
     """Assemble a CoresetProblem from a sequence of equal-length vectors.
 
-    Raises ValueError on empty input or non-finite entries. Zero-norm rows
-    are silently dropped (they cannot affect the objective); the returned
-    problem's ``kept_indices`` records the input row of each kept row.
+    Raises ValueError on empty input, non-finite entries or norms that
+    overflow float64. Zero-norm rows, those with a norm of at most
+    ``zero_tol(dim)`` times the largest row norm, are silently dropped (they
+    cannot affect the objective); the returned problem's ``kept_indices``
+    records the input row of each kept row.
     """
     V = np.array(vectors, dtype=np.float64)
     if V.ndim == 1:
@@ -266,17 +273,20 @@ def build_problem(vectors) -> CoresetProblem:
     if not np.all(np.isfinite(V)):
         raise ValueError("invalid vector: non-finite entry")
 
-    all_norms = np.linalg.norm(V, axis=1)
-    # fixed, not the floor: the floor is computed from the rows kept here
-    tol = zero_tol(V.shape[1])
-    keep = all_norms > tol
-    kept_indices = np.flatnonzero(keep)
-    V_kept = np.ascontiguousarray(V[keep])
-    norms_kept = all_norms[keep]
+    with np.errstate(over="ignore"):        # an overflow raises below
+        all_norms = np.linalg.norm(V, axis=1)
+        # relative to the largest row, not the floor: that is computed from the rows kept here
+        tol = zero_tol(V.shape[1]) * all_norms.max()
+        keep = all_norms > tol
+        kept_indices = np.flatnonzero(keep)
+        V_kept = np.ascontiguousarray(V[keep])
+        norms_kept = all_norms[keep]
 
-    target = V_kept.sum(axis=0) if V_kept.size else np.zeros(V.shape[1])
-    target_norm = float(np.linalg.norm(target))
-    sigma_total = float(norms_kept.sum())
+        target = V_kept.sum(axis=0) if V_kept.size else np.zeros(V.shape[1])
+        target_norm = float(np.linalg.norm(target))
+        sigma_total = float(norms_kept.sum())
+    if not np.isfinite([tol, target_norm, sigma_total]).all():
+        raise ValueError("vector norms overflow float64")
     trivial = target_norm <= tol
 
     # triangle inequality must hold up to rounding in the summation
@@ -314,5 +324,6 @@ def relative_error(problem: CoresetProblem, w: WeightVector) -> float:
     """||L(w) - L|| / ||L|| for weights w over the problem's rows."""
     err = float(np.linalg.norm(weighted_sum(problem, w) - problem.target))
     if problem.trivial:
-        return 0.0 if err <= zero_tol(problem.dimension) else float("inf")
+        tol = zero_tol(problem.dimension) * problem.norms.max(initial=0.0)
+        return 0.0 if err <= tol else float("inf")
     return err / problem.target_norm

@@ -1,7 +1,9 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import io
+import os
 import subprocess
 import sys
 import warnings
@@ -379,6 +381,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"corebench: error: cannot write {out}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to", ["out", "stdout"])
+    def test_failed_write_is_one_line_usage_error(self, to):
+        # the full device opens but fails the write; stdout's flush at exit
+        # must not add a second message
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = [sys.executable, "-m", "corebench", "synth-gauss", "--trials", "2"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv + (["--out", full.name] if to == "out" else []),
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+        name = "/dev/full" if to == "out" else "stdout"
+        assert done.returncode == 1
+        assert done.stderr == \
+            f"corebench: error: cannot write {name}: {os.strerror(errno.ENOSPC)}\n"
 
     def test_out_naming_the_input_is_one_line_usage_error(self, tmp_path,
                                                           monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -62,9 +63,19 @@ class TestBuildProblem:
         assert p.n == 0
 
     def test_cancelling_rows_is_trivial(self):
-        p = build_problem([(1.0, 0.0), (-1.0, 0.0)])
-        assert p.trivial
-        assert p.n == 2
+        # rows count as zero relative to the largest row, at any scale
+        for scale in (2.0 ** -60, 1.0, 2.0 ** 60):
+            p = build_problem(np.array([(1.0, 0.0), (-1.0, 0.0)]) * scale)
+            assert p.trivial
+            assert p.n == 2
+            assert relative_error(p, WeightVector.empty()) == 0.0
+            assert relative_error(p, WeightVector(np.array([0]), np.array([1.0]))) == np.inf
+
+    def test_norm_overflow_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                build_problem(np.full((3, 2), 1e160))
 
     def test_unit_rows_are_unit(self, rng):
         for _ in range(50):
@@ -151,6 +162,14 @@ class TestIterate:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="M must be >= 1"):
             iterate(lambda t: None, lambda: "w", 0)
+
+    @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
+    def test_checkpoints_below_one_rejected(self, construct):
+        # they would otherwise be labelled with the weights of the full run
+        p = build_problem([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        for checkpoints in ([0, -3], [0], [2, 0]):
+            with pytest.raises(ValueError, match="checkpoints must be >= 1"):
+                construct(p, 5, checkpoints=checkpoints)
 
     def test_times_leave_out_helper_threads(self):
         # a BLAS call's helper threads spin while the calling thread waits;
