@@ -18,6 +18,7 @@ below ``floor = eps * sigma / ||L||``. GIGA and FW stop once they reach it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -285,7 +286,7 @@ def build_problem(vectors) -> CoresetProblem:
         target = V_kept.sum(axis=0) if V_kept.size else np.zeros(V.shape[1])
         target_norm = float(np.linalg.norm(target))
         sigma_total = float(norms_kept.sum())
-    if not np.isfinite([tol, target_norm, sigma_total]).all():
+    if not all(map(math.isfinite, (tol, target_norm, sigma_total))):
         raise ValueError("vector norms overflow float64")
     trivial = target_norm <= tol
 
