@@ -1,9 +1,22 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corebench.hilbert import build_problem
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(relative: str):
+    """Import a repository script (not part of the package) by its path."""
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_problem(rng, max_n=60, max_dim=12, scale_spread=2.0):

@@ -9,9 +9,7 @@ stand-in for its recorder: ``spans.Recorder()`` patches the package for
 the rest of the process.
 """
 
-import importlib.util
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 
@@ -19,10 +17,9 @@ from corebench.baselines import fw_coreset
 from corebench.giga import run as giga_run
 from corebench.hilbert import build_problem
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-spans = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(spans)
+from conftest import load
+
+spans = load("perfbench/spans.py")
 
 
 class CountsOnly:

@@ -7,25 +7,15 @@ parse with ``cli.build_parser()`` and give an ``ExperimentSpec``; the
 contract script is also run once to check the shape of its output.
 """
 
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from corebench.bench import ExperimentSpec, log_grid
 from corebench.cli import build_parser
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load(relative: str):
-    path = ROOT / relative
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import ROOT, load
 
 
 CONTRACT = load("scripts/csv_contract.py")
