@@ -5,7 +5,8 @@ leaves out is absent from the parsed namespace (``argparse.SUPPRESS``), so
 the spec's own default applies. Only the per-experiment sizes and the seed
 default are set here.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data errors.
+Exit codes: 0 on success, 1 on usage errors and on inputs too large to
+allocate, 2 on data errors.
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def main(argv=None) -> int:
         except DataError as exc:
             print(f"corebench: data error: {exc}", file=sys.stderr)
             return 2
+        except MemoryError as exc:
+            print(f"corebench: error: out of memory: {exc}", file=sys.stderr)
+            return 1
         try:
             write_csv(rows, fh)
             fh.flush()

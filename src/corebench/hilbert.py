@@ -265,8 +265,13 @@ def build_problem(vectors) -> CoresetProblem:
     ``zero_tol(dim)`` times the largest row norm, are silently dropped (they
     cannot affect the objective); the returned problem's ``kept_indices``
     records the input row of each kept row.
+
+    The input is copied once, to C-ordered float64, and never aliased: the
+    caller's array stays writeable and shares no memory with the problem.
+    The problem holds two N x d arrays, ``vectors`` (that copy, or its kept
+    rows) and ``unit_vectors``.
     """
-    V = np.array(vectors, dtype=np.float64)
+    V = np.array(vectors, dtype=np.float64, order="C")     # the one copy of the input
     if V.ndim == 1:
         V = V[None, :] if V.size else V.reshape(0, 0)
     if V.ndim != 2 or V.shape[0] == 0:
@@ -280,7 +285,7 @@ def build_problem(vectors) -> CoresetProblem:
         tol = zero_tol(V.shape[1]) * all_norms.max()
         keep = all_norms > tol
         kept_indices = np.flatnonzero(keep)
-        V_kept = np.ascontiguousarray(V[keep])
+        V_kept = V if keep.all() else V[keep]       # a boolean index copies
         norms_kept = all_norms[keep]
 
         target = V_kept.sum(axis=0) if V_kept.size else np.zeros(V.shape[1])

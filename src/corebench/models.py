@@ -270,12 +270,19 @@ def project(model: str, data, lap: LaplaceApprox, S: int, seed: int) -> CoresetP
     over s of grad L_n(theta_s) / sqrt(S), so that Euclidean inner products
     are unbiased estimates of E[grad L_n . grad L_m] under the Laplace
     posterior. The embedding dimension is S * (D + 1).
+
+    The N x S(D+1) embedding is written block by block into one array, so
+    three such arrays are alive at the peak: it and the two of the problem
+    that ``build_problem`` makes from it.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
     Z, y = _design(model, data)
     rng = np.random.default_rng(seed)
     thetas = lap.mode + rng.standard_normal((S, lap.mode.size)) @ lap.factor.T
-    blocks = [log_likelihood_grad(model, Z, y, th) for th in thetas]
-    embedding = np.hstack(blocks) / np.sqrt(S)
+    p = Z.shape[1]
+    embedding = np.empty((Z.shape[0], S * p))
+    for s, th in enumerate(thetas):
+        embedding[:, s * p:(s + 1) * p] = log_likelihood_grad(model, Z, y, th)
+    embedding /= np.sqrt(S)
     return build_problem(embedding)

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,19 @@ def load(relative: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated while running, in
+    bytes (numpy's array buffers are traced too)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def random_problem(rng, max_n=60, max_dim=12, scale_spread=2.0):

@@ -398,6 +398,25 @@ class TestCli:
         assert done.stderr == \
             f"corebench: error: cannot write {name}: {os.strerror(errno.ENOSPC)}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["synth-vectors", "--n", "1000000000000", "--dim", "50"],
+        ["ortho", "--n", "10000000"],
+        ["regress", "--n", "100", "--proj-samples", "100000000000000"],
+    ], ids=["synth-vectors", "ortho", "regress"])
+    def test_input_too_large_to_allocate_is_one_line_error(self, argv, tmp_path):
+        # each first array needs over 128 TiB, more address space than a
+        # process has, so numpy's request fails at once and touches no page
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = tmp_path / "rows.csv"
+        done = subprocess.run([sys.executable, "-m", "corebench", *argv,
+                               "--trials", "1", "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("corebench: error: out of memory: Unable to allocate")
+        assert out.read_text() == ""
+
     def test_out_naming_the_input_is_one_line_usage_error(self, tmp_path,
                                                           monkeypatch, capsys):
         path = tmp_path / "d.csv"

@@ -20,7 +20,7 @@ from corebench.hilbert import (
     weighted_sum,
 )
 
-from conftest import random_problem
+from conftest import random_problem, traced_peak
 
 
 class TestBuildProblem:
@@ -76,6 +76,25 @@ class TestBuildProblem:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
                 build_problem(np.full((3, 2), 1e160))
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "zero-row-dropped"])
+    def test_input_is_copied_not_aliased(self, drop, rng):
+        rows = rng.normal(size=(6, 3))
+        if drop:
+            rows[2] = 0.0
+        before = rows.copy()
+        p = build_problem(rows)
+        assert p.n == 6 - drop
+        assert rows.flags.writeable
+        assert rows.tobytes() == before.tobytes()
+        assert not np.shares_memory(rows, p.vectors)
+        assert not np.shares_memory(rows, p.unit_vectors)
+
+    def test_peak_memory_is_two_copies_of_the_input(self, rng):
+        # the one copy of the input, kept as the vectors, and the unit vectors
+        rows = rng.normal(size=(10_000, 50))
+        _, peak = traced_peak(lambda: build_problem(rows))
+        assert peak <= 2.5 * rows.nbytes
 
     def test_unit_rows_are_unit(self, rng):
         for _ in range(50):

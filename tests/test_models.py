@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from corebench.hilbert import WeightVector
+from corebench.bench import synth_regression_data
+from corebench.hilbert import WeightVector, build_problem
 from corebench.models import (
     GaussianMeanData,
     LaplaceNotConverged,
@@ -18,6 +19,8 @@ from corebench.models import (
     log_likelihood_grad,
     project,
 )
+
+from conftest import traced_peak
 
 
 class TestGaussianEmbed:
@@ -213,6 +216,27 @@ class TestProjection:
         p1 = project("logistic", data, lap, 8, seed=5)
         p2 = project("logistic", data, lap, 8, seed=5)
         np.testing.assert_array_equal(p1.vectors, p2.vectors)
+
+    @pytest.mark.parametrize("model", ["logistic", "poisson"])
+    def test_same_bytes_as_stacked_gradient_blocks(self, model, rng):
+        data = synth_regression_data(model, 300, rng)
+        lap = laplace(model, data)
+        S, seed = 12, 7
+        draws = np.random.default_rng(seed).standard_normal((S, lap.mode.size))
+        blocks = [log_likelihood_grad(model, data.z, data.y, theta)
+                  for theta in lap.mode + draws @ lap.factor.T]
+        expected = build_problem(np.hstack(blocks) / np.sqrt(S))
+        p = project(model, data, lap, S, seed)
+        assert p.vectors.tobytes() == expected.vectors.tobytes()
+        assert p.unit_vectors.tobytes() == expected.unit_vectors.tobytes()
+
+    def test_peak_memory_is_three_embeddings(self, rng):
+        # the embedding and the problem's vectors and unit vectors
+        data = synth_regression_data("logistic", 2000, rng)
+        lap = laplace("logistic", data)
+        S = default_sample_count(data.d + 1)
+        p, peak = traced_peak(lambda: project("logistic", data, lap, S, seed=0))
+        assert peak <= 3.5 * p.vectors.nbytes
 
     def test_gaussian_gram_approaches_closed_form(self, rng):
         y = rng.normal(0.5, 1.0, size=10)
