@@ -68,6 +68,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
     L = problem.target
     target_scores = problem.target_norm * problem.unit_scores    # <ell_n, L>
     scan = Projections(problem)                      # of U @ L(w_t)
+    scores = scan.buffers[0]
     floor_resid = FLOOR_MULTIPLE * problem.floor * problem.target_norm
     w = np.zeros(problem.n)
     Lw = None
@@ -90,7 +91,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
                 if np.linalg.norm(w[support] @ V[support] - L) <= floor_resid:
                     raise Stop("float floor")
             resid = L - Lw
-            n_t = int(np.argmax(target_scores - scan.of(Lw)))
+            n_t = int(np.argmax(np.subtract(target_scores, scan.of(Lw), out=scores)))
             vertex = scale[n_t] * V[n_t]
             direction = vertex - Lw
             denom = float(direction @ direction)

@@ -49,20 +49,26 @@ STEP_DENOM_TOL = 1e-12     # line-search denominator guard
 CLAMP_WARN_TOL = 1e-9      # gamma outside [0,1] beyond this is suspicious
 
 
-def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int) -> np.ndarray:
+def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Selection objective num / sqrt(1 - zv^2), clamped to [-1, 1], from
     the products num = <ell_n, u> and zv = <ell_n, v>, where u is the unit
-    residual direction and v the unit iterate.
+    residual direction and v the unit iterate. The scores are written into
+    ``out`` (a new array when None), which may not share memory with num.
 
     Rows parallel to v (vanishing tangent component) score 0 by the
     zero-vector convention. The clamp removes spurious > 1 values produced
     by cancellation in the 1 - <ell_n, v>^2 denominator.
     """
-    den2 = np.maximum(1.0 - zv ** 2, 0.0)
+    den = np.multiply(zv, zv, out=out)
+    np.subtract(1.0, den, out=den)
     # fixed, not the floor: 1 - zv^2 of unit vectors rounds at eps at any scale
-    ok = den2 > zero_tol(dim) ** 2
-    scores = np.where(ok, num / np.sqrt(np.where(ok, den2, 1.0)), 0.0)
-    return np.clip(scores, -1.0, 1.0)
+    ok = den > zero_tol(dim) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):    # rows not ok are reset
+        np.sqrt(den, out=den)
+        scores = np.divide(num, den, out=den)
+    scores[~ok] = 0.0
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -115,8 +121,11 @@ def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
         raise Stop("converged")
 
     proj = state.scan.of(state.ell_w)
-    num = (problem.unit_scores - state.alignment * proj) / resid_norm
-    scores = objective_from_products(num, proj, problem.dimension)
+    num, scores = state.scan.buffers
+    np.multiply(state.alignment, proj, out=num)
+    np.subtract(problem.unit_scores, num, out=num)
+    num /= resid_norm
+    objective_from_products(num, proj, problem.dimension, out=scores)
     n_t = int(np.argmax(scores))        # ties break to the lowest index
     score = float(scores[n_t])
     if score <= 0.0:
@@ -162,7 +171,7 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"step size {gamma} outside [0, 1]")
     direction = (1.0 - gamma) * state.ell_w + gamma * problem.unit_vectors[n_t]
-    nrm = float(np.linalg.norm(direction))
+    nrm = math.sqrt(direction @ direction)
     if nrm <= zero_tol(problem.dimension):
         raise RuntimeError("collapsed iterate")
 
@@ -173,7 +182,7 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     state.t += 1
     resync = state.t % RENORM_INTERVAL == 0
     if resync:
-        drift = float(np.linalg.norm(state.ell_w))
+        drift = math.sqrt(state.ell_w @ state.ell_w)
         state.ell_w /= drift
         state.weights /= drift
     state.scan.move(n_t, a, b, drop=resync)

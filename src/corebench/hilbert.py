@@ -30,7 +30,7 @@ RENORM_INTERVAL = 64       # resync cadence of incrementally updated iterates
 
 def zero_tol(dim: int) -> float:
     """Scale-aware threshold below which a vector is treated as zero."""
-    return ZERO_TOL_COEFF * np.sqrt(dim)
+    return ZERO_TOL_COEFF * math.sqrt(dim)
 
 
 @dataclass(eq=False)
@@ -148,6 +148,11 @@ class Projections:
     N x d product. Without its column, or on the caller's resync, a move
     drops the values and the next ``of`` recomputes them. The values start
     as those of x = 0, or dropped with ``zero=False``.
+
+    A move updates the values in place, so the array ``of`` returns is
+    overwritten by the next ``move``. The carrier also holds two N-float
+    work buffers, ``buffers``, for its caller's scan; ``move`` overwrites
+    the first.
     """
 
     def __init__(self, problem: CoresetProblem, zero: bool = True):
@@ -156,6 +161,7 @@ class Projections:
         self._columns: dict[int, np.ndarray] = {}
         self._values = np.zeros(problem.n) if zero else None
         self._spent = False           # this step has done its one product
+        self.buffers = (np.empty(problem.n), np.empty(problem.n))
 
     def __len__(self) -> int:
         return len(self._columns)
@@ -177,7 +183,10 @@ class Projections:
         if col is None or drop or self._values is None:
             self._values = None
         else:
-            self._values = self._values * a + col * b
+            work = self.buffers[0]
+            self._values *= a
+            np.multiply(col, b, out=work)
+            self._values += work
 
 
 class Stop(Exception):

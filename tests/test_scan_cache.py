@@ -4,7 +4,10 @@ GIGA and FW pick each point from projections U @ x of their iterate that a
 ``hilbert.Projections`` carrier moves with cached columns U @ ell_n instead
 of recomputing them. These tests check the picks against reference loops
 that recompute every product from scratch, that the column cache stays
-within its cap, and that no step does more than one N x d product.
+within its cap, and that no step does more than one N x d product. GIGA
+scores in the carrier's buffers: its scores are checked bit for bit against
+the allocating expression they replace, and a step without a product
+against an allocation budget.
 """
 
 import copy
@@ -14,7 +17,17 @@ import numpy as np
 import pytest
 
 from corebench import baselines, giga
-from corebench.hilbert import RENORM_INTERVAL, Projections, Stop, build_problem, relative_error
+from corebench.hilbert import (
+    RENORM_INTERVAL,
+    ZERO_TOL_COEFF,
+    Projections,
+    Stop,
+    build_problem,
+    relative_error,
+    zero_tol,
+)
+
+from conftest import traced_peak
 
 MARGIN = 1e-9
 STEPS = 3 * RENORM_INTERVAL
@@ -248,3 +261,107 @@ def test_cost_keeps_digits_below_float_resolution_of_alignment():
     assert checked >= 150
     # errors below 1e-8 are where 1 - alignment^2 had no digits left
     assert min(residuals[:checked]) < 1e-8
+
+
+def reference_objective(num, zv, dim):
+    """GIGA's selection objective as an allocating expression: the
+    in-place ``giga.objective_from_products`` must give its bits."""
+    den2 = np.maximum(1.0 - zv ** 2, 0.0)
+    ok = den2 > zero_tol(dim) ** 2
+    scores = np.where(ok, num / np.sqrt(np.where(ok, den2, 1.0)), 0.0)
+    return np.clip(scores, -1.0, 1.0)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_zero_tol_is_the_numpy_square_root():
+    for dim in range(1, 5000):
+        assert zero_tol(dim) == ZERO_TOL_COEFF * np.sqrt(dim)
+
+
+def test_objective_is_bit_equal_to_the_allocating_expression(rng):
+    dim = 50
+    tol = zero_tol(dim)
+    one_below, one_above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    edge = np.sqrt(1.0 - tol ** 2)             # where 1 - zv^2 meets tol^2
+    zv = np.array([1.0, -1.0, 1.0 - 1e-17, -(1.0 - 1e-17), one_below, -one_below,
+                   one_above, -one_above, 0.0, -0.0,
+                   *np.nextafter(edge, np.array([0.0, 2.0])),
+                   *(edge + np.arange(-4, 5) * np.spacing(edge))])
+    num = rng.normal(size=zv.size)
+    # cancelled scores above 1 that tie once clamped, below -1, and at +-1 exactly
+    tied_zv = rng.uniform(-0.9, 0.9, size=6)
+    tied_den = np.sqrt(1.0 - tied_zv ** 2)
+    tied_num = tied_den * np.array([1.0 + 1e-15, 1.0 + 4e-16, 1.0, -1.0 - 1e-15, -1.0, 3.0])
+    zv = np.concatenate([zv, tied_zv, rng.uniform(-1.0, 1.0, size=2000)])
+    num = np.concatenate([num, tied_num, rng.normal(size=2000)])
+    num[::7] *= -1.0
+    expected = reference_objective(num, zv, dim)
+    assert (expected == 1.0).sum() >= 3 and (expected == -1.0).sum() >= 2
+    assert (expected == 0.0).sum() >= 10
+    out = np.full(num.size, np.nan)
+    for got in (giga.objective_from_products(num, zv, dim),
+                giga.objective_from_products(num, zv, dim, out=out)):
+        np.testing.assert_array_equal(bits(got), bits(expected))
+        assert int(np.argmax(got)) == int(np.argmax(expected))
+    np.testing.assert_array_equal(bits(giga.cap_objective(np.eye(3), zv[:3], zv[3:6])),
+                                  bits(reference_objective(zv[:3], zv[3:6], 3)))
+
+
+def test_giga_select_is_bit_equal_to_the_allocating_scan(rng):
+    steps = 0
+    for _ in range(24):
+        p = tall_problem(rng)
+        state = giga.initial_state(p)
+        while True:
+            resid_norm = np.sqrt(state.J)
+            proj = state.scan.of(state.ell_w).copy()
+            num = (p.unit_scores - state.alignment * proj) / resid_norm
+            scores = reference_objective(num, proj, p.dimension)
+            n_ref = int(np.argmax(scores))
+            try:
+                n_t, score = giga.select(p, state)
+            except Stop:
+                assert resid_norm <= p.floor or scores[n_ref] <= 0.0
+                break
+            assert n_t == n_ref and bits(score) == bits(scores[n_ref])
+            giga.update(p, state, n_t, giga.step_size(p, state, n_t))
+            steps += 1
+    assert steps >= 24 * 20
+
+
+def test_move_is_bit_equal_to_scale_and_add():
+    p = build_problem(np.random.default_rng(6).normal(size=(500, 8)))
+    U = p.unit_vectors
+    scan = Projections(p)
+    x, values = np.zeros(p.dimension), np.zeros(p.n)
+    for n, (a, b) in zip([3, 5, 3, 7, 5], [(0.0, 1.0), (0.6, 0.3), (0.9, 0.1),
+                                           (0.7, 0.45), (1.1, -0.2)]):
+        scan.move(n, a, b)                  # columns 3, 5 and 7 fit the cache
+        x = a * x + b * U[n]
+        values = values * a + (U @ U[n]) * b
+        np.testing.assert_array_equal(bits(scan.of(x)), bits(values))
+
+
+def test_step_without_a_product_allocates_less_than_one_projection():
+    p = counted(build_problem(np.random.default_rng(0).normal(size=(10_000, 50))))
+    state = giga.initial_state(p)
+    one_array = p.n * np.dtype(np.float64).itemsize
+
+    def step():
+        n_t, _ = giga.select(p, state)
+        giga.update(p, state, n_t, giga.step_size(p, state, n_t))
+
+    peaks = []
+    while True:
+        p.unit_vectors.products = 0
+        try:
+            _, peak = traced_peak(step)
+        except Stop:
+            break
+        if p.unit_vectors.products == 0:    # scored the carried values, took no column
+            peaks.append(peak)
+    assert len(peaks) >= 2
+    assert max(peaks) < one_array
