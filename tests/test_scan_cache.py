@@ -305,7 +305,6 @@ def test_objective_is_bit_equal_to_the_allocating_expression(rng):
     for got in (giga.objective_from_products(num, zv, dim),
                 giga.objective_from_products(num, zv, dim, out=out)):
         np.testing.assert_array_equal(bits(got), bits(expected))
-        assert int(np.argmax(got)) == int(np.argmax(expected))
     np.testing.assert_array_equal(bits(giga.cap_objective(np.eye(3), zv[:3], zv[3:6])),
                                   bits(reference_objective(zv[:3], zv[3:6], 3)))
 
