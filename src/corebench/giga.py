@@ -64,7 +64,8 @@ def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int,
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 
-def _unclamped_objective(num, zv, dim, out):
+def _unclamped_objective(num: np.ndarray, zv: np.ndarray, dim: int,
+                         out: np.ndarray | None) -> np.ndarray:
     """``objective_from_products`` before its clamp."""
     den = np.multiply(zv, zv, out=out)
     np.subtract(1.0, den, out=den)
