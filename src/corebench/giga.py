@@ -60,13 +60,6 @@ def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int,
     zero-vector convention. The clamp removes spurious > 1 values produced
     by cancellation in the 1 - <ell_n, v>^2 denominator.
     """
-    scores = _unclamped_objective(num, zv, dim, out)
-    return np.clip(scores, -1.0, 1.0, out=scores)
-
-
-def _unclamped_objective(num: np.ndarray, zv: np.ndarray, dim: int,
-                         out: np.ndarray | None) -> np.ndarray:
-    """``objective_from_products`` before its clamp."""
     den = np.multiply(zv, zv, out=out)
     np.subtract(1.0, den, out=den)
     # fixed, not the floor: 1 - zv^2 of unit vectors rounds at eps at any scale
@@ -75,7 +68,7 @@ def _unclamped_objective(num: np.ndarray, zv: np.ndarray, dim: int,
         np.sqrt(den, out=den)
         scores = np.divide(num, den, out=den)
     scores[~ok] = 0.0
-    return scores
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -122,8 +115,6 @@ def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
 
     The scan scores U @ d_t = (unit_scores - alignment * U @ ell(w)) / ||.||
     from the projections of ``state.scan``, in the carrier's two buffers.
-    It takes the argmax of ``objective_from_products`` before the clamp:
-    the clamp only changes the scores >= 1, which then tie at 1.
     """
     resid_norm = math.sqrt(state.J)
     if resid_norm <= problem.floor:
@@ -134,11 +125,9 @@ def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
     np.multiply(state.alignment, proj, out=num)
     np.subtract(problem.unit_scores, num, out=num)
     num /= resid_norm
-    _unclamped_objective(num, proj, problem.dimension, scores)
+    objective_from_products(num, proj, problem.dimension, out=scores)
     n_t = int(np.argmax(scores))        # ties break to the lowest index
     score = float(scores[n_t])
-    if score >= 1.0:        # the clamp ties every score >= 1 at 1, and the lowest index wins
-        n_t, score = int(np.argmax(scores >= 1.0)), 1.0
     if score <= 0.0:
         raise Stop("converged")
     return n_t, score
