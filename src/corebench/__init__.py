@@ -5,9 +5,7 @@ Frank-Wolfe / importance-sampling / uniform-subsampling baselines, Bayesian
 model embeddings, and a benchmark CLI.
 """
 
-from .baselines import fw_coreset, is_coreset, rnd_coreset, sampling_sweep
-from .giga import GigaState
-from .giga import finalize as giga_finalize
+from .baselines import fw_coreset, sampling_sweep
 from .giga import run as giga_run
 from .hilbert import (
     CoresetProblem,
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoresetProblem",
     "GaussianMeanData",
-    "GigaState",
     "LaplaceApprox",
     "RegressionData",
     "Run",
@@ -44,14 +41,11 @@ __all__ = [
     "coreset_posterior_variance",
     "fw_coreset",
     "gaussian_embed",
-    "giga_finalize",
     "giga_run",
-    "is_coreset",
     "laplace",
     "log_likelihood_grad",
     "project",
     "relative_error",
-    "rnd_coreset",
     "sampling_sweep",
     "weighted_sum",
 ]

@@ -109,24 +109,16 @@ def fw_coreset(problem: CoresetProblem, M: int,
     return iterate(step, lambda: WeightVector.from_dense(w), M, checkpoints)
 
 
-def is_coreset(problem: CoresetProblem, M: int, seed) -> WeightVector:
-    """Importance-sampled coreset: M draws with probability sigma_n / sigma,
-    w_n = m_n * sigma / (M * sigma_n). Unbiased: E[L(w)] = L."""
-    return sampling_sweep(problem, [M], seed, "IS")[M]
-
-
-def rnd_coreset(problem: CoresetProblem, M: int, seed) -> WeightVector:
-    """Uniform random subsampling: w_n = m_n * N / M. Unbiased: E[L(w)] = L."""
-    return sampling_sweep(problem, [M], seed, "RND")[M]
-
-
 def sampling_sweep(problem: CoresetProblem, grid, seed,
                    method: str) -> dict[int, WeightVector]:
-    """Coresets at every budget in ``grid`` from one nested sample sequence.
+    """Importance-sampling ("IS") or uniform-subsampling ("RND") coresets,
+    both unbiased (E[L(w)] = L), at every budget in ``grid`` from one
+    nested sample sequence.
 
     The first m draws of a single length-max(grid) sequence define the
-    budget-m coreset, so sweeps are consistent with single calls at the
-    same seed and budgets are nested the way an iterative construction is.
+    budget-m coreset, so a sweep's budget-m coreset is that of the grid [m]
+    at the same seed, and budgets are nested the way an iterative
+    construction is.
     """
     if method not in ("IS", "RND"):
         raise ValueError("sampling_sweep supports IS and RND only")

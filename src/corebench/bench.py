@@ -112,10 +112,8 @@ def log_grid(m_max: int) -> list[int]:
     """Strictly increasing log-spaced integer budgets from 1 to m_max (at most 20)."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if m_max == 1:
-        return [1]
-    vals = np.unique(np.round(np.geomspace(1.0, m_max, 20)).astype(int))
-    return sorted(set(vals[(vals >= 1) & (vals <= m_max)].tolist()) | {1, m_max})
+    # geomspace returns its endpoints exactly, so the rounded grid holds 1 and m_max
+    return np.unique(np.round(np.geomspace(1, m_max, 20)).astype(int)).tolist()
 
 
 def _stream(seed: int, trial: int, purpose: int) -> np.random.Generator:

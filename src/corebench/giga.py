@@ -196,10 +196,9 @@ def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
     """Rescale weights to the original vectors and the optimal global scale.
 
     w_n <- w_n * (||L|| / ||L_n||) * max{0, <ell(w), ell>}; indices are the
-    problem's rows.
+    problem's rows. The alignment is 0 before the first step and on a
+    trivial problem, so the weights are empty there.
     """
-    if problem.trivial or state.t == 0:
-        return WeightVector.empty()
     factor = problem.target_norm * max(0.0, state.alignment)
     dense = state.weights * (factor / problem.norms)
     return WeightVector.from_dense(dense)

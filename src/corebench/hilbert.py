@@ -47,7 +47,10 @@ class WeightVector:
     values: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        indices = np.asarray(self.indices)
+        if indices.size and not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"indices must be integers, not {indices.dtype}")
+        self.indices = indices.astype(np.int64, copy=False)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.indices.shape != self.values.shape or self.indices.ndim != 1:
             raise ValueError("indices and values must be equal-length 1-D arrays")
@@ -193,12 +196,9 @@ class Stop(Exception):
     """Raised by a construction step to end the run before its budget;
     ``reason`` is recorded as the run's stop reason."""
 
-    reason = "stopped"
-
-    def __init__(self, reason: str | None = None):
-        if reason is not None:
-            self.reason = reason
-        super().__init__(self.reason)
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def build_problem(vectors) -> CoresetProblem:
         V_kept = V if keep.all() else V[keep]       # a boolean index copies
         norms_kept = all_norms[keep]
 
-        target = V_kept.sum(axis=0) if V_kept.size else np.zeros(V.shape[1])
+        target = V_kept.sum(axis=0)
         target_norm = float(np.linalg.norm(target))
         sigma_total = float(norms_kept.sum())
     if not all(map(math.isfinite, (tol, target_norm, sigma_total))):
@@ -308,7 +308,7 @@ def build_problem(vectors) -> CoresetProblem:
     if sigma_total < target_norm * (1 - 1e-12):
         raise AssertionError("norm sum smaller than target norm")
 
-    unit_vectors = V_kept / norms_kept[:, None] if V_kept.size else V_kept
+    unit_vectors = V_kept / norms_kept[:, None]
     unit_target = target / target_norm if not trivial else np.zeros_like(target)
 
     return CoresetProblem(
@@ -328,8 +328,6 @@ def build_problem(vectors) -> CoresetProblem:
 
 def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
     """sum_n w_n L_n over the problem's kept rows, in O(||w||_0 * dim)."""
-    if w.nnz == 0:
-        return np.zeros(problem.dimension)
     if np.any(w.indices >= problem.n):
         raise IndexError("weight index out of range for problem")
     return w.values @ problem.vectors[w.indices]

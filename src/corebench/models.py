@@ -30,6 +30,9 @@ MODELS = ("gaussian", "logistic", "poisson")
 
 _TINY = np.finfo(np.float64).tiny
 
+LAPLACE_MAX_ITER = 100       # Newton steps before LaplaceNotConverged
+LAPLACE_GRAD_TOL = 1e-8      # log-posterior gradient norm that ends the fit
+
 
 def expit(u):
     """The logistic sigmoid 1 / (1 + e^-u), elementwise.
@@ -181,14 +184,13 @@ class LaplaceNotConverged(RuntimeError):
         self.last_iterate = last_iterate
 
 
-def laplace(model: str, data, max_iter: int = 100,
-            grad_tol: float = 1e-8) -> LaplaceApprox:
+def laplace(model: str, data) -> LaplaceApprox:
     """Laplace posterior approximation under a standard normal prior.
 
     Newton ascent with step halving on the log posterior until the gradient
-    norm drops to ``grad_tol``; the covariance is the inverse negative
+    norm drops to LAPLACE_GRAD_TOL; the covariance is the inverse negative
     Hessian at the mode. Raises LaplaceNotConverged (with the last iterate
-    attached) if the tolerance is not reached within ``max_iter`` steps.
+    attached) if the tolerance is not reached within LAPLACE_MAX_ITER steps.
     """
     Z, y = _design(model, data)
     p = Z.shape[1]
@@ -210,9 +212,9 @@ def laplace(model: str, data, max_iter: int = 100,
         return -th + log_likelihood_grad(model, Z, y, th).sum(axis=0)
 
     f = objective(theta)
-    for _ in range(max_iter):
+    for _ in range(LAPLACE_MAX_ITER):
         grad = grad_at(theta)
-        if np.linalg.norm(grad) <= grad_tol:
+        if np.linalg.norm(grad) <= LAPLACE_GRAD_TOL:
             return approx_at(theta)
         step = np.linalg.solve(neg_hessian(theta), grad)
         # near the mode the per-step gain drops below float resolution of f,
@@ -228,10 +230,11 @@ def laplace(model: str, data, max_iter: int = 100,
             alpha *= 0.5
         else:
             break   # no acceptable step remains; gradient check decides below
-    if np.linalg.norm(grad_at(theta)) <= grad_tol:
+    if np.linalg.norm(grad_at(theta)) <= LAPLACE_GRAD_TOL:
         return approx_at(theta)
     raise LaplaceNotConverged(
-        f"Newton did not reach gradient norm {grad_tol:g} in {max_iter} iterations",
+        f"Newton did not reach gradient norm {LAPLACE_GRAD_TOL:g} "
+        f"in {LAPLACE_MAX_ITER} iterations",
         last_iterate=theta,
     )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corebench.baselines import fw_coreset, is_coreset, rnd_coreset, sampling_sweep
+from corebench.baselines import fw_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import build_problem, relative_error, weighted_sum
 
@@ -10,6 +10,11 @@ from conftest import random_problem
 
 def axis_problem(n):
     return build_problem(np.eye(n) / n)
+
+
+def sample(method, p, m, seed):
+    """The budget-m coreset of a one-budget sampling sweep."""
+    return sampling_sweep(p, [m], seed, method)[m]
 
 
 class TestFrankWolfe:
@@ -96,7 +101,7 @@ class TestAxisProblemFormulas:
         p = axis_problem(n)
         hits = 0
         for seed in range(40):
-            w = is_coreset(p, m, seed)
+            w = sample("IS", p, m, seed)
             if w.nnz == m:
                 hits += 1
                 assert relative_error(p, w) == pytest.approx(
@@ -119,12 +124,12 @@ class TestImportanceSampling:
     def test_single_vector(self):
         p = build_problem([(3.0, 4.0)])
         for m in (1, 5):
-            w = is_coreset(p, m, seed=0)
+            w = sample("IS", p, m, seed=0)
             np.testing.assert_allclose(w.to_dense(1), [1.0])
 
     def test_axis_weights_are_multiplicity_scaled(self):
         p = axis_problem(8)
-        w = is_coreset(p, 6, seed=3)
+        w = sample("IS", p, 6, seed=3)
         # sigma_n / sigma uniform: every weight is (N / M) x multiplicity
         mult = w.values * 6 / 8
         np.testing.assert_allclose(mult, np.round(mult))
@@ -143,8 +148,8 @@ class TestImportanceSampling:
 
     def test_seed_reproducibility(self, rng):
         p = random_problem(rng, max_n=30, max_dim=5)
-        w1 = is_coreset(p, 7, seed=123)
-        w2 = is_coreset(p, 7, seed=123)
+        w1 = sample("IS", p, 7, seed=123)
+        w2 = sample("IS", p, 7, seed=123)
         np.testing.assert_array_equal(w1.indices, w2.indices)
         np.testing.assert_array_equal(w1.values, w2.values)
 
@@ -152,7 +157,7 @@ class TestImportanceSampling:
 class TestUniformSubsampling:
     def test_single_vector(self):
         p = build_problem([(3.0, 4.0)])
-        w = rnd_coreset(p, 4, seed=0)
+        w = sample("RND", p, 4, seed=0)
         np.testing.assert_allclose(w.to_dense(1), [1.0])
 
     def test_weight_sum_is_n(self, rng):
@@ -161,7 +166,7 @@ class TestUniformSubsampling:
             if p.n == 0:
                 continue
             m = int(rng.integers(1, 10))
-            w = rnd_coreset(p, m, seed)
+            w = sample("RND", p, m, seed)
             assert w.total() == pytest.approx(p.n, rel=1e-12)
 
     def test_unbiasedness_monte_carlo(self):
@@ -176,15 +181,58 @@ class TestUniformSubsampling:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("method, single", [("IS", is_coreset), ("RND", rnd_coreset)],
-                             ids=["IS", "RND"])
-    def test_sweep_prefix_consistency(self, rng, method, single):
+    @pytest.mark.parametrize("method", ["IS", "RND"])
+    def test_sweep_prefix_consistency(self, rng, method):
         p = random_problem(rng, max_n=30, max_dim=5)
         if p.n == 0:
             return
         grid = [2, 5, 9]
         sweep = sampling_sweep(p, grid, seed=11, method=method)
         for m in grid:
-            w = single(p, m, seed=11)
+            w = sample(method, p, m, seed=11)
             np.testing.assert_array_equal(sweep[m].indices, w.indices)
             np.testing.assert_allclose(sweep[m].values, w.values)
+
+
+def every_method(p):
+    """(indices, values, rel_error) of GIGA, FW, IS and RND at budgets 1, 2, 5."""
+    def entry(w):
+        return tuple(w.indices.tolist()), tuple(w.values.tolist()), relative_error(p, w)
+
+    out = {}
+    for name, construct in (("giga", giga_run), ("fw", fw_coreset)):
+        w, run = construct(p, 5, checkpoints=[1, 2])
+        out.update({(name, m): entry(s) for m, s in run.snapshots.items()})
+        out[name, 5] = entry(w)
+    for method in ("IS", "RND"):
+        for m, w in sampling_sweep(p, [1, 2, 5], 0, method).items():
+            out[method.lower(), m] = entry(w)
+    return out
+
+
+class TestDegenerateInputs:
+    """Inputs with nothing to approximate, pinned for every method."""
+
+    EMPTY = ((), (), 0.0)
+
+    def test_all_zero_input(self):
+        # every row is dropped, so n = 0 and each method returns no weights
+        p = build_problem(np.zeros((3, 2)))
+        assert (p.n, p.trivial) == (0, True)
+        assert every_method(p) == {(alg, m): self.EMPTY for alg in ("giga", "fw", "is", "rnd")
+                                   for m in (1, 2, 5)}
+
+    def test_cancelling_input(self):
+        # L = 0: GIGA and FW take no step; a sample is exact only when it cancels
+        p = build_problem([(1.0, 2.0), (-1.0, -2.0)])
+        assert (p.n, p.trivial) == (2, True)
+        inf = float("inf")
+        assert every_method(p) == {
+            **{(alg, m): self.EMPTY for alg in ("giga", "fw") for m in (1, 2, 5)},
+            ("is", 1): ((1,), (2.0,), inf),
+            ("is", 2): ((0, 1), (1.0, 1.0), 0.0),
+            ("is", 5): ((0, 1), (1.2, 0.8), inf),
+            ("rnd", 1): ((1,), (2.0,), inf),
+            ("rnd", 2): ((1,), (2.0,), inf),
+            ("rnd", 5): ((0, 1), (0.8, 1.2), inf),
+        }

@@ -47,12 +47,16 @@ class TestLogGrid:
     def test_single_budget(self):
         assert log_grid(1) == [1]
 
-    @pytest.mark.parametrize("m_max", [2, 10, 100, 1000])
-    def test_endpoints_and_monotone(self, m_max):
-        grid = log_grid(m_max)
-        assert grid[0] == 1
-        assert grid[-1] == m_max
-        assert all(b > a for a, b in zip(grid, grid[1:]))
+    # the grid holds 1 and m_max only by rounding geomspace's endpoints, so
+    # every m_max up to 5000 is checked, in ranges named by their last value
+    @pytest.mark.parametrize("low, high", [(1, 2), (3, 10), (11, 100), (101, 1000),
+                                           (1001, 5000)], ids=["2", "10", "100", "1000", "5000"])
+    def test_endpoints_and_monotone(self, low, high):
+        for m_max in range(low, high + 1):
+            grid = log_grid(m_max)
+            assert grid[0] == 1 and grid[-1] == m_max, m_max
+            assert all(b > a for a, b in zip(grid, grid[1:])), m_max
+            assert len(grid) <= 20, m_max
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as nps
 
-from corebench.baselines import fw_coreset, is_coreset, rnd_coreset, sampling_sweep
+from corebench.baselines import fw_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import (
     Step,
@@ -237,6 +237,19 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="finite"):
             WeightVector.from_dense(np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("indices", [[1.7, 0.2], [1.0, 0.0], [True, False]],
+                             ids=["fractional", "integral float", "bool"])
+    def test_rejects_non_integer_indices(self, indices):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            WeightVector(np.array(indices), np.array([1.0, 2.0]))
+
+    def test_accepts_integer_and_empty_indices(self):
+        for dtype in (np.int32, np.uint8, np.int64):
+            w = WeightVector(np.array([2, 0], dtype=dtype), [1.0, 2.0])
+            assert w.indices.dtype == np.int64
+            np.testing.assert_array_equal(w.to_dense(3), [2.0, 0.0, 1.0])
+        assert WeightVector([], []).nnz == 0
+
     def test_from_dense_drops_zeros(self):
         w = WeightVector.from_dense(np.array([0.0, 2.0, 0.0, 1.0]))
         np.testing.assert_array_equal(w.indices, [1, 3])
@@ -265,8 +278,8 @@ def _with_snapshots(final, diag):
 _CONSTRUCTIONS = {
     "giga": lambda p: _with_snapshots(*giga_run(p, 40, checkpoints=[1, 5, 40])),
     "fw": lambda p: _with_snapshots(*fw_coreset(p, 40, checkpoints=[1, 5, 40])),
-    "is": lambda p: [is_coreset(p, 30, 0)],
-    "rnd": lambda p: [rnd_coreset(p, 30, 0)],
+    "is": lambda p: [sampling_sweep(p, [30], 0, "IS")[30]],
+    "rnd": lambda p: [sampling_sweep(p, [30], 0, "RND")[30]],
     "sampling_sweep": lambda p: [w for method in ("IS", "RND")
                                  for w in sampling_sweep(p, [1, 5, 30], 0, method).values()],
 }

@@ -87,3 +87,13 @@ def test_checker_flags_an_unreferenced_definition():
                          "class Named: pass\n")]
     others = [ast.parse("TARGET = 'mod.Named.method'\n")]
     assert unreferenced_definitions(package, others) == ["unused"]
+
+
+def test_all_names_exactly_the_reexports():
+    import corebench
+
+    init = ROOT / "src" / "corebench" / "__init__.py"
+    imported = {alias.asname or alias.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(corebench.__all__) == sorted(imported)
+    assert all(hasattr(corebench, name) for name in corebench.__all__)

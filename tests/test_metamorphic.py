@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corebench.baselines import fw_coreset, is_coreset, rnd_coreset
+from corebench.baselines import fw_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import build_problem, relative_error
 
@@ -20,7 +20,7 @@ def outputs(rows):
     """Weights and relative error of GIGA, FW, IS and RND, as bytes and floats."""
     p = build_problem(rows)
     weights = [giga_run(p, M)[0], fw_coreset(p, M)[0],
-               is_coreset(p, M, 0), rnd_coreset(p, M, 0)]
+               sampling_sweep(p, [M], 0, "IS")[M], sampling_sweep(p, [M], 0, "RND")[M]]
     return [(w.indices.tobytes(), w.values.tobytes(), relative_error(p, w)) for w in weights]
 
 
