@@ -10,6 +10,12 @@ prints the columns ``trial,algorithm,M,rel_error,size`` of each, under a
 refactor keeps the contract when ``diff`` of this output from two checkouts
 is empty. The package is imported from this checkout's ``src/``.
 
+A change that only rounds differently keeps it within floors, the rule of
+``rows_agree``, which ``tests/test_contract.py`` applies to every row
+against the reference output in ``tests/data/contract.txt``. Each row is
+judged against ``problem.floor`` (``eps * sigma / ||L||``) of the problem
+its trial builds, which ``trial_floors`` rebuilds.
+
 Rows at the float floor are byte-stable only on the same BLAS build and
 thread count: the synth-vectors rows with ``rel_error`` at or below about
 1e-13 (GIGA's sizes there and the FW rows alike) are set by float rounding
@@ -25,9 +31,12 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from corebench.cli import main  # noqa: E402
+from corebench.bench import ExperimentSpec, _trial_problems  # noqa: E402
+from corebench.cli import build_parser, main  # noqa: E402
 
 SEED = "7"
 RUNS = [
@@ -48,6 +57,37 @@ def contract_rows(argv: list[str]) -> list[str]:
         raise SystemExit(f"corebench {' '.join(argv)} exited {code}")
     rows = csv.DictReader(io.StringIO(buf.getvalue()))
     return [",".join(row[c] for c in COLUMNS) for row in rows]
+
+
+def trial_floors(argv: list[str]) -> list[float]:
+    """``problem.floor`` of each trial's problem, built as the run builds it."""
+    args = vars(build_parser().parse_args(argv + ["--seed", SEED]))
+    args.pop("out")
+    spec = ExperimentSpec(**args)
+    problem_of = _trial_problems(spec)
+    return [problem_of(trial)[0].floor for trial in range(spec.trials)]
+
+
+def rows_agree(reference: str, row: str, floor: float) -> bool:
+    """Whether a contract row keeps its reference row up to rounding.
+
+    It does when the two are byte-equal; or when their ``trial,algorithm,M``
+    and ``size`` are equal and their ``rel_error`` values differ by at most
+    2 floors or 4 ulp of the reference value; or when their
+    ``trial,algorithm,M`` are equal and both ``rel_error`` values are at
+    most 4 floors, where the sizes may differ (the float floor sets which
+    rows the last steps pick there). Anything else fails.
+    """
+    if row == reference:
+        return True
+    *key_ref, err_ref, size_ref = reference.split(",")
+    *key, err, size = row.split(",")
+    if key != key_ref:
+        return False
+    a, b = float(err_ref), float(err)
+    if size == size_ref and abs(a - b) <= max(2 * floor, 4 * np.spacing(abs(a))):
+        return True
+    return max(a, b) <= 4 * floor
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Baseline constructions on the norm-simplex problem.
 
-All three methods keep the weights feasible for the constraint
-sum_n sigma_n w_n = sigma (no post-hoc rescaling):
+FW and importance sampling keep sum_n sigma_n w_n = sigma at every budget
+(no post-hoc rescaling); uniform subsampling keeps it only in expectation:
 
-* Frank-Wolfe on the polytope with vertices v_n = (sigma / sigma_n) L_n,
-  with exact closed-form line search;
+* Frank-Wolfe on the polytope with vertices v_n = (sigma / sigma_n) L_n
+  = sigma ell_n, with exact closed-form line search;
 * importance sampling of M indices i.i.d. with probability sigma_n / sigma,
   weighting by multiplicity: w_n = m_n * sigma / (M * sigma_n);
 * uniform random subsampling, w_n = m_n * N / M.
@@ -28,6 +28,7 @@ from .hilbert import (
     Stop,
     WeightVector,
     iterate,
+    relative_error,
 )
 
 # FW stops once its true residual is within this many floors (eps * sigma).
@@ -56,20 +57,20 @@ def fw_coreset(problem: CoresetProblem, M: int,
     weights do not depend on the carried projections.
 
     Every RENORM_INTERVAL steps, before it steps, the run recomputes the true
-    residual ||L - L(w)|| from the rows of the support (not the carried
-    L(w), which under-reports it near the float floor) and stops with
-    "float floor" once it is at most FLOOR_MULTIPLE * eps * sigma. Since w = 1
-    is feasible, the optimum is 0, and such a residual is rounding that no
-    further step can remove (see Jaggi, ICML 2013, on FW certificates).
+    error with ``hilbert.relative_error`` (not from the carried L(w), which
+    under-reports it near the float floor) and stops with "float floor" once
+    it is at most FLOOR_MULTIPLE floors (a residual of that many eps * sigma).
+    Since w = 1 is feasible, the optimum is 0, and such a residual is rounding
+    that no further step can remove (see Jaggi, ICML 2013, on FW certificates).
     """
-    V = problem.vectors
+    U = problem.unit_vectors
     sigma = problem.sigma_total
-    scale = sigma / problem.norms                    # vertex n is scale[n] * V[n]
+    scale = sigma / problem.norms        # vertex n: scale[n] * L_n = sigma * U[n]
     L = problem.target
     target_scores = problem.target_norm * problem.unit_scores    # <ell_n, L>
     scan = Projections(problem)                      # of U @ L(w_t)
     scores = scan.buffers[0]
-    floor_resid = FLOOR_MULTIPLE * problem.floor * problem.target_norm
+    floor_err = FLOOR_MULTIPLE * problem.floor
     w = np.zeros(problem.n)
     Lw = None
 
@@ -81,18 +82,17 @@ def fw_coreset(problem: CoresetProblem, M: int,
             n_t = int(np.argmax(problem.unit_scores))
             gamma = 1.0
             w[n_t] = scale[n_t]
-            Lw = scale[n_t] * V[n_t]
+            Lw = sigma * U[n_t]
             gap = float(Lw @ L)
             scan.move(n_t, 0.0, sigma)
         else:
             resync = (t - 1) % RENORM_INTERVAL == 0
             if resync:
-                support = np.flatnonzero(w)
-                if np.linalg.norm(w[support] @ V[support] - L) <= floor_resid:
+                if relative_error(problem, WeightVector.from_dense(w)) <= floor_err:
                     raise Stop("float floor")
             resid = L - Lw
             n_t = int(np.argmax(np.subtract(target_scores, scan.of(Lw), out=scores)))
-            vertex = scale[n_t] * V[n_t]
+            vertex = sigma * U[n_t]
             direction = vertex - Lw
             denom = float(direction @ direction)
             # fixed, not the floor: on sigma's scale already, it guards a zero division

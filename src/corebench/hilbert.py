@@ -1,9 +1,9 @@
 """Inner-product-space primitives for coreset construction.
 
-Vectors are plain 1-D float64 numpy arrays; a problem instance stores the
-collection (L_n), the per-vector norms sigma_n, the target sum L = sum_n L_n,
-and the unit-normalized counterparts ell_n = L_n / ||L_n||, ell = L / ||L||.
-All geometry is Euclidean on the stored coordinates; model-specific inner
+Vectors are plain 1-D float64 numpy arrays. A problem instance stores the
+rows once, as unit rows ell_n = L_n / sigma_n and norms sigma_n = ||L_n||,
+with the target sum L = sum_n L_n and its direction ell = L / ||L||. All
+geometry is Euclidean on the stored coordinates; model-specific inner
 products are absorbed into the embedding that produced the vectors.
 
 Zero-norm convention: u / ||u|| := 0 whenever ||u|| <= zero_tol(dim), with a
@@ -13,7 +13,8 @@ so a problem does not depend on the units of its data.
 
 Float floor: summing N terms of norm sigma_n in float64 carries a rounding
 error of order eps * sigma, so no weights resolve L to a relative error
-below ``floor = eps * sigma / ||L||``. GIGA and FW stop once they reach it.
+below ``floor = eps * sigma / ||L||``. GIGA stops at the floor, and FW
+within ``baselines.FLOOR_MULTIPLE`` floors of it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class WeightVector:
 
 @dataclass(eq=False)
 class CoresetProblem:
-    """Immutable problem instance: vectors, norms, target sum, unit versions.
+    """Immutable problem instance: unit rows, norms, target sum, its direction.
 
     Zero-norm input vectors are dropped at construction, so row n of the
     problem is input row ``kept_indices[n]``. Weights always index the
@@ -109,12 +110,11 @@ class CoresetProblem:
     module docstring).
     """
 
-    vectors: np.ndarray       # (N, d) kept vectors L_n
     norms: np.ndarray         # (N,) sigma_n > 0
     sigma_total: float        # sigma = sum_n sigma_n
     target: np.ndarray        # (d,) L
     target_norm: float        # ||L||
-    unit_vectors: np.ndarray  # (N, d) ell_n
+    unit_vectors: np.ndarray  # (N, d) ell_n, so L_n = sigma_n ell_n
     unit_target: np.ndarray   # (d,) ell (zero vector when trivial)
     unit_scores: np.ndarray   # (N,) <ell_n, ell>
     kept_indices: np.ndarray  # (N,) increasing input row of each kept row
@@ -122,17 +122,17 @@ class CoresetProblem:
     floor: float              # eps * sigma / ||L||, 0 when trivial
 
     def __post_init__(self):
-        for arr in (self.vectors, self.norms, self.target, self.unit_vectors,
+        for arr in (self.norms, self.target, self.unit_vectors,
                     self.unit_target, self.unit_scores, self.kept_indices):
             arr.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return int(self.vectors.shape[0])
+        return int(self.norms.shape[0])
 
     @property
     def dimension(self) -> int:
-        return int(self.vectors.shape[1])
+        return int(self.target.shape[0])
 
     def to_original(self, w: WeightVector) -> WeightVector:
         """The same weights, indexed by input row instead of problem row."""
@@ -277,8 +277,8 @@ def build_problem(vectors) -> CoresetProblem:
 
     The input is copied once, to C-ordered float64, and never aliased: the
     caller's array stays writeable and shares no memory with the problem.
-    The problem holds two N x d arrays, ``vectors`` (that copy, or its kept
-    rows) and ``unit_vectors``.
+    That copy, or its kept rows, divided in place by the row norms (taken
+    in blocks of rows), is the problem's one N x d array ``unit_vectors``.
     """
     V = np.array(vectors, dtype=np.float64, order="C")     # the one copy of the input
     if V.ndim == 1:
@@ -289,15 +289,16 @@ def build_problem(vectors) -> CoresetProblem:
         raise ValueError("invalid vector: non-finite entry")
 
     with np.errstate(over="ignore"):        # an overflow raises below
-        all_norms = np.linalg.norm(V, axis=1)
+        all_norms = np.concatenate([np.linalg.norm(V[i:i + 256], axis=1)  # no N x d temporary
+                                    for i in range(0, len(V), 256)])
         # relative to the largest row, not the floor: that is computed from the rows kept here
         tol = zero_tol(V.shape[1]) * all_norms.max()
         keep = all_norms > tol
         kept_indices = np.flatnonzero(keep)
-        V_kept = V if keep.all() else V[keep]       # a boolean index copies
+        U = V if keep.all() else V[keep]       # a boolean index copies
         norms_kept = all_norms[keep]
 
-        target = V_kept.sum(axis=0)
+        target = U.sum(axis=0)
         target_norm = float(np.linalg.norm(target))
         sigma_total = float(norms_kept.sum())
     if not all(map(math.isfinite, (tol, target_norm, sigma_total))):
@@ -308,18 +309,17 @@ def build_problem(vectors) -> CoresetProblem:
     if sigma_total < target_norm * (1 - 1e-12):
         raise AssertionError("norm sum smaller than target norm")
 
-    unit_vectors = V_kept / norms_kept[:, None]
+    U /= norms_kept[:, None]
     unit_target = target / target_norm if not trivial else np.zeros_like(target)
 
     return CoresetProblem(
-        vectors=V_kept,
         norms=norms_kept,
         sigma_total=sigma_total,
         target=target,
         target_norm=target_norm,
-        unit_vectors=unit_vectors,
+        unit_vectors=U,
         unit_target=unit_target,
-        unit_scores=unit_vectors @ unit_target,
+        unit_scores=U @ unit_target,
         kept_indices=kept_indices,
         trivial=trivial,
         floor=0.0 if trivial else float(np.finfo(np.float64).eps * sigma_total / target_norm),
@@ -327,10 +327,10 @@ def build_problem(vectors) -> CoresetProblem:
 
 
 def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
-    """sum_n w_n L_n over the problem's kept rows, in O(||w||_0 * dim)."""
+    """sum_n w_n L_n = sum_n (w_n sigma_n) ell_n, in O(||w||_0 * dim)."""
     if np.any(w.indices >= problem.n):
         raise IndexError("weight index out of range for problem")
-    return w.values @ problem.vectors[w.indices]
+    return (w.values * problem.norms[w.indices]) @ problem.unit_vectors[w.indices]
 
 
 def relative_error(problem: CoresetProblem, w: WeightVector) -> float:

@@ -275,7 +275,7 @@ def project(model: str, data, lap: LaplaceApprox, S: int, seed: int) -> CoresetP
     posterior. The embedding dimension is S * (D + 1).
 
     The N x S(D+1) embedding is written block by block into one array, so
-    three such arrays are alive at the peak: it and the two of the problem
+    two such arrays are alive at the peak: it and the one of the problem
     that ``build_problem`` makes from it.
     """
     if S < 1:

@@ -33,6 +33,11 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def rows(problem):
+    """The problem's rows L_n = sigma_n ell_n, from its norms and unit rows."""
+    return problem.norms[:, None] * problem.unit_vectors
+
+
 def random_problem(rng, max_n=60, max_dim=12, scale_spread=2.0):
     """Random problem with mixed signs and magnitudes across rows."""
     n = int(rng.integers(1, max_n + 1))
@@ -52,7 +57,7 @@ def brute_force_error(problem, m):
     best = float(np.linalg.norm(problem.target))   # w = 0
     for size in range(1, m + 1):
         for support in itertools.combinations(range(problem.n), size):
-            A = problem.vectors[list(support)].T
+            A = rows(problem)[list(support)].T
             _, resid = nnls(A, problem.target)
             best = min(best, resid)
     return best

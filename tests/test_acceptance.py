@@ -33,7 +33,7 @@ from corebench.models import (
     project,
 )
 
-from conftest import random_problem
+from conftest import random_problem, rows
 
 
 def report(number, ok, detail):
@@ -239,7 +239,7 @@ def test_c7_projection_mse_decays_as_one_over_s():
     y = rng.normal(0.4, 1.0, size=10)
     data = GaussianMeanData(y)
     exact = gaussian_embed(data)
-    exact_gram = exact.vectors @ exact.vectors.T
+    exact_gram = rows(exact) @ rows(exact).T
     lap = laplace("gaussian", data)
     sample_counts = (100, 1000, 10_000)
     mses = []
@@ -247,7 +247,7 @@ def test_c7_projection_mse_decays_as_one_over_s():
         reps = []
         for rep in range(30):
             proj = project("gaussian", data, lap, s, seed=1000 * s + rep)
-            gram = proj.vectors @ proj.vectors.T
+            gram = rows(proj) @ rows(proj).T
             reps.append(float(np.mean((gram - exact_gram) ** 2)))
         mses.append(np.mean(reps))
     slope = float(np.polyfit(np.log(sample_counts), np.log(mses), 1)[0])

@@ -5,7 +5,7 @@ from corebench.baselines import fw_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import build_problem, relative_error, weighted_sum
 
-from conftest import random_problem
+from conftest import random_problem, rows
 
 
 def axis_problem(n):
@@ -142,9 +142,19 @@ class TestImportanceSampling:
         probs = p.norms / p.sigma_total
         picks = np.random.default_rng(7).choice(5, size=draws, p=probs)
         # M=1 coresets: L(w) = (sigma / sigma_n) L_n for the drawn index
-        sums = (p.sigma_total / p.norms[picks])[:, None] * p.vectors[picks]
+        sums = (p.sigma_total / p.norms[picks])[:, None] * rows(p)[picks]
         mean = sums.mean(axis=0)
         assert np.linalg.norm(mean - p.target) <= 0.01 * p.target_norm
+
+    def test_simplex_feasibility_at_every_budget(self, rng):
+        # sum_n sigma_n w_n = sum_n m_n sigma / M = sigma for every draw
+        for seed in range(50):
+            p = random_problem(rng, max_n=30, max_dim=8)
+            if p.n == 0:
+                continue
+            for w in sampling_sweep(p, range(1, 41), seed, "IS").values():
+                total = float(p.norms[w.indices] @ w.values)
+                assert total == pytest.approx(p.sigma_total, rel=1e-12)
 
     def test_seed_reproducibility(self, rng):
         p = random_problem(rng, max_n=30, max_dim=5)
@@ -175,7 +185,7 @@ class TestUniformSubsampling:
         p = build_problem(rng.normal(size=(5, 3)))
         reps = 100_000
         picks = np.random.default_rng(8).integers(0, 5, size=(reps, 5))
-        sums = p.vectors[picks].sum(axis=1)      # weight N/M = 1 per draw
+        sums = rows(p)[picks].sum(axis=1)      # weight N/M = 1 per draw
         mean = sums.mean(axis=0)
         assert np.linalg.norm(mean - p.target) <= 0.01 * p.target_norm
 

@@ -87,14 +87,34 @@ class TestBuildProblem:
         assert p.n == 6 - drop
         assert rows.flags.writeable
         assert rows.tobytes() == before.tobytes()
-        assert not np.shares_memory(rows, p.vectors)
         assert not np.shares_memory(rows, p.unit_vectors)
+        assert not np.shares_memory(rows, p.norms)
 
     def test_peak_memory_is_two_copies_of_the_input(self, rng):
-        # the one copy of the input, kept as the vectors, and the unit vectors
+        # the caller's rows and the one copy that becomes the unit vectors;
+        # the traced peak counts the copy alone, with no N x d temporary
         rows = rng.normal(size=(10_000, 50))
         _, peak = traced_peak(lambda: build_problem(rows))
-        assert peak <= 2.5 * rows.nbytes
+        assert peak <= 1.5 * rows.nbytes
+
+    @pytest.mark.parametrize("shape", [(2000, 30), (30, 2000), (257, 257)])
+    @pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "zero-row-dropped"])
+    def test_arrays_total_one_copy_of_the_input(self, shape, drop, rng):
+        rows = rng.normal(size=shape)
+        if drop:
+            rows[::7] = 0.0
+        p = build_problem(rows)
+        n, d = p.n, p.dimension
+        arrays = [a for a in vars(p).values() if isinstance(a, np.ndarray)]
+        assert max(a.size for a in arrays) == n * d
+        assert sum(a.nbytes for a in arrays) <= 8 * (n * d + 3 * n + 2 * d)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_blocked_norms_keep_their_bits(self, n, rng):
+        rows = rng.normal(size=(n, 37)) * np.exp(3.0 * rng.normal(size=(n, 1)))
+        p = build_problem(rows)
+        assert p.n == n
+        assert p.norms.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
     def test_unit_rows_are_unit(self, rng):
         for _ in range(50):

@@ -20,32 +20,34 @@ from corebench.models import (
     project,
 )
 
-from conftest import traced_peak
+from conftest import rows, traced_peak
 
 
 class TestGaussianEmbed:
     def test_single_observation(self):
         p = gaussian_embed(GaussianMeanData([0.0]))
         # posterior N(0, 1/2): embedding (0, sqrt(1/2))
-        np.testing.assert_allclose(p.vectors[0], [0.0, np.sqrt(0.5)], atol=1e-12)
+        np.testing.assert_allclose(rows(p)[0], [0.0, np.sqrt(0.5)], atol=1e-12)
         assert p.norms[0] ** 2 == pytest.approx(0.5)
 
     def test_pairwise_inner_product(self):
         p = gaussian_embed(GaussianMeanData([1.0, -1.0]))
         # mu_hat = 0, s2 = 1/3: <L_1, L_2> = -1 + 1/3 = -2/3
-        assert float(p.vectors[0] @ p.vectors[1]) == pytest.approx(-2.0 / 3.0)
+        L = rows(p)
+        assert float(L[0] @ L[1]) == pytest.approx(-2.0 / 3.0)
 
     def test_identical_observations_identical_vectors(self):
         p = gaussian_embed(GaussianMeanData([2.5, 2.5, 2.5]))
-        np.testing.assert_array_equal(p.vectors[0], p.vectors[1])
-        np.testing.assert_array_equal(p.vectors[1], p.vectors[2])
+        L = rows(p)
+        np.testing.assert_array_equal(L[0], L[1])
+        np.testing.assert_array_equal(L[1], L[2])
 
     def test_inner_products_match_posterior_expectation(self, rng):
         y = rng.normal(size=7)
         p = gaussian_embed(GaussianMeanData(y))
         mu_hat = y.sum() / 8
         s2 = 1.0 / 8
-        gram = p.vectors @ p.vectors.T
+        gram = rows(p) @ rows(p).T
         expected = np.outer(y - mu_hat, y - mu_hat) + s2
         np.testing.assert_allclose(gram, expected, atol=1e-12)
 
@@ -195,7 +197,8 @@ class TestProjection:
         data = RegressionData(x, y)
         lap = laplace("logistic", data)
         p = project("logistic", data, lap, 16, seed=0)
-        np.testing.assert_array_equal(p.vectors[0], p.vectors[1])
+        L = rows(p)
+        np.testing.assert_array_equal(L[0], L[1])
 
     def test_embedding_dimension(self, rng):
         data = RegressionData(rng.normal(size=(5, 3)),
@@ -218,7 +221,7 @@ class TestProjection:
         lap = laplace("logistic", data)
         p1 = project("logistic", data, lap, 8, seed=5)
         p2 = project("logistic", data, lap, 8, seed=5)
-        np.testing.assert_array_equal(p1.vectors, p2.vectors)
+        np.testing.assert_array_equal(rows(p1), rows(p2))
 
     @pytest.mark.parametrize("model", ["logistic", "poisson"])
     def test_same_bytes_as_stacked_gradient_blocks(self, model, rng):
@@ -230,25 +233,25 @@ class TestProjection:
                   for theta in lap.mode + draws @ lap.factor.T]
         expected = build_problem(np.hstack(blocks) / np.sqrt(S))
         p = project(model, data, lap, S, seed)
-        assert p.vectors.tobytes() == expected.vectors.tobytes()
+        assert p.norms.tobytes() == expected.norms.tobytes()
         assert p.unit_vectors.tobytes() == expected.unit_vectors.tobytes()
 
-    def test_peak_memory_is_three_embeddings(self, rng):
-        # the embedding and the problem's vectors and unit vectors
+    def test_peak_memory_is_two_embeddings(self, rng):
+        # the embedding and build_problem's one copy, which becomes the unit vectors
         data = synth_regression_data("logistic", 2000, rng)
         lap = laplace("logistic", data)
         S = default_sample_count(data.d + 1)
         p, peak = traced_peak(lambda: project("logistic", data, lap, S, seed=0))
-        assert peak <= 3.5 * p.vectors.nbytes
+        assert peak <= 2.5 * p.unit_vectors.nbytes
 
     def test_gaussian_gram_approaches_closed_form(self, rng):
         y = rng.normal(0.5, 1.0, size=10)
         data = GaussianMeanData(y)
         exact = gaussian_embed(data)
-        exact_gram = exact.vectors @ exact.vectors.T
+        exact_gram = rows(exact) @ rows(exact).T
         lap = laplace("gaussian", data)
         proj = project("gaussian", data, lap, 10_000, seed=2)
-        gram = proj.vectors @ proj.vectors.T
+        gram = rows(proj) @ rows(proj).T
         rel = np.abs(gram - exact_gram) / np.maximum(np.abs(exact_gram), 1e-12)
         assert np.median(rel) <= 0.05
 

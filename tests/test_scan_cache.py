@@ -27,7 +27,7 @@ from corebench.hilbert import (
     zero_tol,
 )
 
-from conftest import traced_peak
+from conftest import rows, traced_peak
 
 MARGIN = 1e-9
 STEPS = 3 * RENORM_INTERVAL
@@ -92,7 +92,7 @@ def reference_fw_picks(problem, M):
     """FW picks argmax((V @ (L - Lw)) * scale) with a fresh product per step,
     ending before the first step whose top-two margin, relative to
     sigma * ||L||, is MARGIN or less."""
-    V, L, sigma = problem.vectors, problem.target, problem.sigma_total
+    V, L, sigma = rows(problem), problem.target, problem.sigma_total
     scale = sigma / problem.norms
     n0 = int(np.argmax(problem.unit_vectors @ problem.unit_target))
     Lw = scale[n0] * V[n0]
