@@ -27,6 +27,7 @@ import numpy as np
 
 ZERO_TOL_COEFF = 1e-12
 RENORM_INTERVAL = 64       # resync cadence of incrementally updated iterates
+WEIGHTED_SUM_BLOCK = 2 ** 16   # floats gathered at once by weighted_sum: 512 KB
 
 
 def zero_tol(dim: int) -> float:
@@ -277,10 +278,17 @@ def build_problem(vectors) -> CoresetProblem:
 
     The input is copied once, to C-ordered float64, and never aliased: the
     caller's array stays writeable and shares no memory with the problem.
-    That copy, or its kept rows, divided in place by the row norms (taken
-    in blocks of rows), is the problem's one N x d array ``unit_vectors``.
+    That copy becomes the problem's one N x d array (see ``_build_in_place``).
     """
-    V = np.array(vectors, dtype=np.float64, order="C")     # the one copy of the input
+    return _build_in_place(np.array(vectors, dtype=np.float64, order="C"))
+
+
+def _build_in_place(V: np.ndarray) -> CoresetProblem:
+    """``build_problem`` of a C-ordered float64 array that the problem takes
+    over: no one else may hold V. V, or its kept rows when a row is dropped
+    (a boolean index copies), divided in place by the row norms (taken in
+    blocks of rows), is the problem's ``unit_vectors``.
+    """
     if V.ndim == 1:
         V = V[None, :] if V.size else V.reshape(0, 0)
     if V.ndim != 2 or V.shape[0] == 0:
@@ -327,10 +335,24 @@ def build_problem(vectors) -> CoresetProblem:
 
 
 def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
-    """sum_n w_n L_n = sum_n (w_n sigma_n) ell_n, in O(||w||_0 * dim)."""
+    """sum_n w_n L_n = sum_n (w_n sigma_n) ell_n, in O(||w||_0 * dim).
+
+    A support of at most ``WEIGHTED_SUM_BLOCK // dim`` rows is summed in one
+    product; a longer one block by block of that many rows into one
+    d-vector, so no temporary holds more than ``WEIGHTED_SUM_BLOCK`` floats
+    (or one row, when a row is longer) and the sum rounds per block.
+    """
     if np.any(w.indices >= problem.n):
         raise IndexError("weight index out of range for problem")
-    return (w.values * problem.norms[w.indices]) @ problem.unit_vectors[w.indices]
+    rows = WEIGHTED_SUM_BLOCK // max(problem.dimension, 1)
+    if w.nnz <= rows:
+        return (w.values * problem.norms[w.indices]) @ problem.unit_vectors[w.indices]
+    total = np.zeros(problem.dimension)
+    rows = max(rows, 1)
+    for start in range(0, w.nnz, rows):
+        idx = w.indices[start:start + rows]
+        total += (w.values[start:start + rows] * problem.norms[idx]) @ problem.unit_vectors[idx]
+    return total
 
 
 def relative_error(problem: CoresetProblem, w: WeightVector) -> float:

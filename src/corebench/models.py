@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import CoresetProblem, WeightVector, build_problem
+from .hilbert import CoresetProblem, WeightVector, _build_in_place, build_problem
 
 MODELS = ("gaussian", "logistic", "poisson")
 
@@ -274,9 +274,9 @@ def project(model: str, data, lap: LaplaceApprox, S: int, seed: int) -> CoresetP
     are unbiased estimates of E[grad L_n . grad L_m] under the Laplace
     posterior. The embedding dimension is S * (D + 1).
 
-    The N x S(D+1) embedding is written block by block into one array, so
-    two such arrays are alive at the peak: it and the one of the problem
-    that ``build_problem`` makes from it.
+    The N x S(D+1) embedding is written block by block into one array,
+    which the problem takes over as its unit vectors, so one such array is
+    alive from the first gradient to the returned problem.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -288,4 +288,4 @@ def project(model: str, data, lap: LaplaceApprox, S: int, seed: int) -> CoresetP
     for s, th in enumerate(thetas):
         embedding[:, s * p:(s + 1) * p] = log_likelihood_grad(model, Z, y, th)
     embedding /= np.sqrt(S)
-    return build_problem(embedding)
+    return _build_in_place(embedding)

@@ -16,6 +16,7 @@ from corebench.hilbert import (
     WeightVector,
     build_problem,
     iterate,
+    WEIGHTED_SUM_BLOCK,
     relative_error,
     weighted_sum,
 )
@@ -158,6 +159,41 @@ class TestWeightedSum:
         w = WeightVector(np.array([5]), np.array([1.0]))
         with pytest.raises(IndexError):
             weighted_sum(p, w)
+
+    @staticmethod
+    def one_product(p, w):
+        return (w.values * p.norms[w.indices]) @ p.unit_vectors[w.indices]
+
+    @staticmethod
+    def support(rng, p, nnz):
+        idx = np.sort(rng.choice(p.n, nnz, replace=False))
+        return WeightVector(idx, rng.uniform(0.5, 2.0, nnz) * p.sigma_total / p.norms[idx] / nnz)
+
+    @pytest.mark.parametrize("shape", [(2000, 501), (1500, 50), (40, 2)])
+    def test_one_block_is_the_one_product(self, shape, rng):
+        p = build_problem(rng.normal(size=shape))
+        rows = WEIGHTED_SUM_BLOCK // p.dimension
+        for nnz in (1, 17, min(rows, p.n)):
+            w = self.support(rng, p, nnz)
+            assert weighted_sum(p, w).tobytes() == self.one_product(p, w).tobytes()
+
+    @pytest.mark.parametrize("shape,nnz", [((2000, 501), 131), ((2000, 501), 1000),
+                                           ((2000, 501), 2000), ((5, 70_000), 3)])
+    def test_blocks_agree_with_the_one_product(self, shape, nnz, rng):
+        # within the contract's rows_agree rule: 2 floors, or 4 ulp of the error
+        p = build_problem(rng.normal(size=shape) + 0.1)
+        w = self.support(rng, p, nnz)
+        assert nnz * p.dimension > WEIGHTED_SUM_BLOCK
+        blocked = relative_error(p, w)
+        product = float(np.linalg.norm(self.one_product(p, w) - p.target)) / p.target_norm
+        assert abs(blocked - product) <= max(2 * p.floor, 4 * np.spacing(product))
+
+    def test_peak_memory_is_one_block(self, rng):
+        # the parent gathered all 1000 rows: 3.9 MB
+        p = build_problem(rng.normal(size=(2000, 501)))
+        w = self.support(rng, p, 1000)
+        _, peak = traced_peak(lambda: weighted_sum(p, w))
+        assert peak <= 2 ** 20
 
     @given(
         a=st.floats(0.0, 100.0),
