@@ -278,16 +278,16 @@ def build_problem(vectors) -> CoresetProblem:
 
     The input is copied once, to C-ordered float64, and never aliased: the
     caller's array stays writeable and shares no memory with the problem.
-    That copy becomes the problem's one N x d array (see ``_build_in_place``).
+    That copy, or its kept rows, divided in place by the row norms (taken
+    in blocks of rows), is the problem's one N x d array ``unit_vectors``.
     """
     return _build_in_place(np.array(vectors, dtype=np.float64, order="C"))
 
 
 def _build_in_place(V: np.ndarray) -> CoresetProblem:
-    """``build_problem`` of a C-ordered float64 array that the problem takes
-    over: no one else may hold V. V, or its kept rows when a row is dropped
-    (a boolean index copies), divided in place by the row norms (taken in
-    blocks of rows), is the problem's ``unit_vectors``.
+    """``build_problem`` without its copy: V, a C-ordered float64 array
+    that no one else holds, becomes the problem's ``unit_vectors`` in place
+    (or its kept rows do, when a row is dropped: a boolean index copies).
     """
     if V.ndim == 1:
         V = V[None, :] if V.size else V.reshape(0, 0)
@@ -347,11 +347,11 @@ def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
     rows = WEIGHTED_SUM_BLOCK // max(problem.dimension, 1)
     if w.nnz <= rows:
         return (w.values * problem.norms[w.indices]) @ problem.unit_vectors[w.indices]
-    total = np.zeros(problem.dimension)
     rows = max(rows, 1)
+    total = np.zeros(problem.dimension)
     for start in range(0, w.nnz, rows):
-        idx = w.indices[start:start + rows]
-        total += (w.values[start:start + rows] * problem.norms[idx]) @ problem.unit_vectors[idx]
+        idx, values = w.indices[start:start + rows], w.values[start:start + rows]
+        total += (values * problem.norms[idx]) @ problem.unit_vectors[idx]
     return total
 
 
