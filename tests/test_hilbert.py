@@ -13,10 +13,10 @@ from corebench.giga import run as giga_run
 from corebench.hilbert import (
     Step,
     Stop,
+    WEIGHTED_SUM_BLOCK,
     WeightVector,
     build_problem,
     iterate,
-    WEIGHTED_SUM_BLOCK,
     relative_error,
     weighted_sum,
 )
@@ -189,7 +189,7 @@ class TestWeightedSum:
         assert abs(blocked - product) <= max(2 * p.floor, 4 * np.spacing(product))
 
     def test_peak_memory_is_one_block(self, rng):
-        # the parent gathered all 1000 rows: 3.9 MB
+        # gathering all 1000 rows at once would take 3.9 MB
         p = build_problem(rng.normal(size=(2000, 501)))
         w = self.support(rng, p, 1000)
         _, peak = traced_peak(lambda: weighted_sum(p, w))
