@@ -337,17 +337,15 @@ def _build_in_place(V: np.ndarray) -> CoresetProblem:
 def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
     """sum_n w_n L_n = sum_n (w_n sigma_n) ell_n, in O(||w||_0 * dim).
 
-    A support of at most ``WEIGHTED_SUM_BLOCK // dim`` rows is summed in one
-    product; a longer one block by block of that many rows into one
-    d-vector, so no temporary holds more than ``WEIGHTED_SUM_BLOCK`` floats
-    (or one row, when a row is longer) and the sum rounds per block.
+    The support is summed block by block of ``WEIGHTED_SUM_BLOCK // dim``
+    rows into one d-vector, so no temporary holds more than
+    ``WEIGHTED_SUM_BLOCK`` floats (or one row, when a row is longer). A
+    support of one block gives the bits of the one product over its rows
+    (but a -0.0 entry reads 0.0); a longer one rounds per block.
     """
     if np.any(w.indices >= problem.n):
         raise IndexError("weight index out of range for problem")
-    rows = WEIGHTED_SUM_BLOCK // max(problem.dimension, 1)
-    if w.nnz <= rows:
-        return (w.values * problem.norms[w.indices]) @ problem.unit_vectors[w.indices]
-    rows = max(rows, 1)
+    rows = max(WEIGHTED_SUM_BLOCK // max(problem.dimension, 1), 1)
     total = np.zeros(problem.dimension)
     for start in range(0, w.nnz, rows):
         idx, values = w.indices[start:start + rows], w.values[start:start + rows]

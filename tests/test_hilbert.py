@@ -173,6 +173,7 @@ class TestWeightedSum:
     def test_one_block_is_the_one_product(self, shape, rng):
         p = build_problem(rng.normal(size=shape))
         rows = WEIGHTED_SUM_BLOCK // p.dimension
+        # the sum starts from zeros, and 0.0 + x is x for every x but -0.0
         for nnz in (1, 17, min(rows, p.n)):
             w = self.support(rng, p, nnz)
             assert weighted_sum(p, w).tobytes() == self.one_product(p, w).tobytes()
