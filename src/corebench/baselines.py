@@ -51,10 +51,10 @@ def fw_coreset(problem: CoresetProblem, M: int,
 
     Since scale_n <V_n, L - L(w)> = sigma <ell_n, L - L(w)>, the scan is
     argmax_n (||L|| unit_scores_n - (U @ L(w_t))_n) over projections that a
-    ``hilbert.Projections`` carrier holds from step to step, moving them as
-    L(w) <- (1 - gamma) L(w) + gamma sigma ell_{n_t} and resyncing every
-    RENORM_INTERVAL steps. The line search uses direct row products, so the
-    weights do not depend on the carried projections.
+    ``hilbert.Projections`` carrier holds from step to step (and resyncs on
+    its own cadence), moving them as L(w) <- (1 - gamma) L(w) + gamma sigma
+    ell_{n_t}. The line search uses direct row products, so the weights do
+    not depend on the carried projections.
 
     Every RENORM_INTERVAL steps, before it steps, the run recomputes the true
     error with ``hilbert.relative_error`` (not from the carried L(w), which
@@ -86,8 +86,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
             gap = float(Lw @ L)
             scan.move(n_t, 0.0, sigma)
         else:
-            resync = (t - 1) % RENORM_INTERVAL == 0
-            if resync:
+            if (t - 1) % RENORM_INTERVAL == 0:
                 if relative_error(problem, WeightVector.from_dense(w)) <= floor_err:
                     raise Stop("float floor")
             resid = L - Lw
@@ -103,7 +102,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
             w *= 1.0 - gamma
             w[n_t] += gamma * scale[n_t]
             Lw = (1.0 - gamma) * Lw + gamma * vertex
-            scan.move(n_t, 1.0 - gamma, gamma * sigma, drop=resync)
+            scan.move(n_t, 1.0 - gamma, gamma * sigma)
         return Step(n_t, gamma, gap)
 
     return iterate(step, lambda: WeightVector.from_dense(w), M, checkpoints)

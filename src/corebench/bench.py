@@ -279,7 +279,7 @@ def load_csv(path: str, label_column: str, model: str,
     are only centered).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:   # a BOM is no header text
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc

@@ -91,6 +91,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
     out_path = args.pop("out")
+    if "input_path" not in args and args.keys() & {"label_col", "standardize"}:
+        parser.error("--label-col and --standardize need --input")
     try:
         spec = ExperimentSpec(**args)
     except ValueError as exc:

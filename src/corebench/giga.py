@@ -11,16 +11,16 @@ L = sum_n L_n:
 
 A run keeps one ``GigaState``. Each step is ``select`` (the pick and its
 score), ``step_size`` (the line-search step) and ``update``, which advances
-the state in place by O(1) vector operations (storage option with cached
-sums); the steps pass plain values and return a ``hilbert.Step``. w_t is
-kept as a dense array over the problem's kept indexing and sparsified only
-on output. A step that cannot improve the iterate raises ``hilbert.Stop``.
+the state in place by O(1) vector operations; the steps pass plain values
+and return a ``hilbert.Step``. w_t is kept as a dense array over the
+problem's kept indexing and sparsified only on output. A step that cannot
+improve the iterate raises ``hilbert.Stop``.
 
 The selection scan needs <ell_n, d_t> and <ell_n, ell(w_t)> for every n.
 Since d_t = (ell - <ell(w_t), ell> ell(w_t)) / ||.||, both follow from the
 constant scores U @ ell (``problem.unit_scores``) and the projections
 U @ ell(w_t), which the state's ``hilbert.Projections`` carrier holds from
-step to step and resyncs every RENORM_INTERVAL steps.
+step to step (and resyncs on its own cadence).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    RENORM_INTERVAL,
     CoresetProblem,
     Projections,
     Run,
@@ -163,10 +162,11 @@ def step_size(problem: CoresetProblem, state: GigaState, n_t: int) -> float:
 def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) -> None:
     """Advance the state in place by step size gamma toward row n_t: move
     along the geodesic and renormalize both the cached iterate and the
-    weights by the same norm.
+    weights by the same norm, which keeps ell(w) on the unit sphere to
+    rounding at every step with no further correction.
 
-    The carried projections follow the same move and are dropped every
-    RENORM_INTERVAL steps. Weights and the iterate never depend on them.
+    The carried projections follow the same move. Weights and the iterate
+    never depend on them.
     """
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"step size {gamma} outside [0, 1]")
@@ -180,12 +180,7 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     state.weights[n_t] += b
     state.ell_w = direction / nrm
     state.t += 1
-    resync = state.t % RENORM_INTERVAL == 0
-    if resync:
-        drift = math.sqrt(state.ell_w @ state.ell_w)
-        state.ell_w /= drift
-        state.weights /= drift
-    state.scan.move(n_t, a, b, drop=resync)
+    state.scan.move(n_t, a, b)
 
     state.alignment = float(state.ell_w @ problem.unit_target)
     resid = problem.unit_target - state.alignment * state.ell_w

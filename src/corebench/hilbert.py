@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ZERO_TOL_COEFF = 1e-12
-RENORM_INTERVAL = 64       # resync cadence of incrementally updated iterates
+RENORM_INTERVAL = 64       # Projections moves between resyncs; FW steps between floor checks
 WEIGHTED_SUM_BLOCK = 2 ** 16   # floats gathered at once by weighted_sum: 512 KB
 
 
@@ -149,9 +149,10 @@ class Projections:
     ``values * a + col * b`` with the Gram column ``col = U @ ell_n``: O(N)
     instead of an N x d product. At most ``problem.dimension`` columns are
     cached, no more floats than ``U`` holds, and a step does at most one
-    N x d product. Without its column, or on the caller's resync, a move
-    drops the values and the next ``of`` recomputes them. The values start
-    as those of x = 0, or dropped with ``zero=False``.
+    N x d product. Without its column, or on every RENORM_INTERVAL-th move,
+    a move drops the values and the next ``of`` recomputes them, so
+    rounding carried by the moves never outlives RENORM_INTERVAL steps. The
+    values start as those of x = 0, or dropped with ``zero=False``.
 
     A move updates the values in place, so the array ``of`` returns is
     overwritten by the next ``move``. The carrier also holds two N-float
@@ -165,6 +166,7 @@ class Projections:
         self._columns: dict[int, np.ndarray] = {}
         self._values = np.zeros(problem.n) if zero else None
         self._spent = False           # this step has done its one product
+        self._moves = 0
         self.buffers = (np.empty(problem.n), np.empty(problem.n))
 
     def __len__(self) -> int:
@@ -177,14 +179,15 @@ class Projections:
             self._spent = True
         return self._values
 
-    def move(self, n: int, a: float, b: float, drop: bool = False) -> None:
+    def move(self, n: int, a: float, b: float) -> None:
         """Follow ``x <- a * x + b * ell_n`` and end the step; column n is
         computed if not cached, there is room and the step has no product."""
         col = self._columns.get(n)
         if col is None and not self._spent and len(self._columns) < self._capacity:
             col = self._columns[n] = self._unit @ self._unit[n]
         self._spent = False
-        if col is None or drop or self._values is None:
+        self._moves += 1
+        if col is None or self._moves % RENORM_INTERVAL == 0 or self._values is None:
             self._values = None
         else:
             work = self.buffers[0]

@@ -275,6 +275,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text"):
             load_csv(str(path), "y", "logistic")
 
+    def test_utf8_byte_order_mark_is_not_header_text(self, tmp_path):
+        # the label is the first column, where a BOM would hide it
+        path = tmp_path / "d.csv"
+        path.write_bytes("y,x1\n1,0.5\n0,2.0\n".encode("utf-8-sig"))
+        data = load_csv(str(path), "y", "logistic")
+        np.testing.assert_array_equal(data.y, [1.0, -1.0])
+        np.testing.assert_array_equal(data.x, [[0.5], [2.0]])
+
     def test_nan_cell_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\nnan,1\n2.0,1\n")
@@ -361,6 +369,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"corebench: data error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("flags", [["--standardize"], ["--label-col", "foo"]])
+    def test_input_flag_without_input_is_one_line_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--n", "30", "--trials", "1", "--m-max", "2"] + flags)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "corebench: error: --label-col and --standardize need --input"
 
     def test_negative_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

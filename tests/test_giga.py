@@ -15,7 +15,14 @@ from corebench.giga import (
     step_size,
     update,
 )
-from corebench.hilbert import Projections, Step, Stop, build_problem, relative_error
+from corebench.hilbert import (
+    RENORM_INTERVAL,
+    Projections,
+    Step,
+    Stop,
+    build_problem,
+    relative_error,
+)
 
 from conftest import brute_force_error, random_problem
 
@@ -186,6 +193,19 @@ class TestUpdate:
                 break
             update(p, state, n_t, g)
             assert np.linalg.norm(state.ell_w) == pytest.approx(1.0, abs=1e-8)
+
+    def test_unit_iterate_with_no_periodic_rescale(self):
+        # update's one division by the new norm keeps ell(w) unit, and equal
+        # to sum_n w_n ell_n up to that sum's rounding (of order eps * sum_n
+        # w_n; 0.5x of it measured here), across several resync intervals
+        p = build_problem(np.random.default_rng(5).normal(size=(2000, 400)))
+        state = initial_state(p)
+        eps = np.finfo(np.float64).eps
+        for _ in range(4 * RENORM_INTERVAL):
+            update(p, state, *_next_step(p, state))
+            assert abs(np.linalg.norm(state.ell_w) - 1.0) <= 4 * eps
+            gap = np.linalg.norm(state.weights @ p.unit_vectors - state.ell_w)
+            assert gap <= 4 * eps * state.weights.sum()
 
 
 class TestFinalize:

@@ -149,8 +149,8 @@ class RecordingProjections(Projections):
         self.peak = self.most_products = 0
         self.instances.append(self)
 
-    def move(self, n, a, b, drop=False):
-        super().move(n, a, b, drop)
+    def move(self, n, a, b):
+        super().move(n, a, b)
         self.peak = max(self.peak, len(self))
         if isinstance(self.unit, CountingMatrix):
             self.most_products = max(self.most_products, self.unit.products)
@@ -221,6 +221,23 @@ def test_cache_holds_at_most_dimension_columns():
     scan.move(1, 0.0, 1.0)                         # cached rows stay available
     scan.of(U[1])
     assert U.products == 0 and len(scan) == p.dimension
+
+
+def test_carrier_resyncs_itself_every_renorm_interval_moves():
+    # every column is cached after the first p.n moves, so a product in `of`
+    # is a resync, and nothing but the move count asks for one
+    p = counted(build_problem(np.random.default_rng(2).normal(size=(6, 8))))
+    U = p.unit_vectors
+    scan = Projections(p)
+    x = np.zeros(p.dimension)
+    for move in range(1, 3 * RENORM_INTERVAL + 1):
+        n = move % p.n
+        scan.move(n, 0.9, 0.1)
+        x = 0.9 * x + 0.1 * U[n]
+        U.products = 0
+        np.testing.assert_allclose(scan.of(x), U.rows @ x, rtol=0, atol=1e-14)
+        assert U.products == (move % RENORM_INTERVAL == 0), move
+    assert len(scan) == p.n
 
 
 def test_step_with_a_projection_computes_no_column():
