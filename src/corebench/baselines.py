@@ -79,7 +79,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
         if t == 1:
             if problem.trivial:
                 raise Stop("trivial")
-            n_t = int(np.argmax(problem.unit_scores))
+            n_t = int(problem.unit_scores.argmax())
             gamma = 1.0
             w[n_t] = scale[n_t]
             Lw = sigma * U[n_t]
@@ -90,7 +90,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
                 if relative_error(problem, WeightVector.from_dense(w)) <= floor_err:
                     raise Stop("float floor")
             resid = L - Lw
-            n_t = int(np.argmax(np.subtract(target_scores, scan.of(Lw), out=scores)))
+            n_t = int(np.subtract(target_scores, scan.of(Lw), out=scores).argmax())
             vertex = sigma * U[n_t]
             direction = vertex - Lw
             denom = float(direction @ direction)
@@ -101,7 +101,8 @@ def fw_coreset(problem: CoresetProblem, M: int,
             gamma = min(max(gap / denom, 0.0), 1.0)
             w *= 1.0 - gamma
             w[n_t] += gamma * scale[n_t]
-            Lw = (1.0 - gamma) * Lw + gamma * vertex
+            Lw *= 1.0 - gamma
+            Lw += gamma * vertex
             scan.move(n_t, 1.0 - gamma, gamma * sigma)
         return Step(n_t, gamma, gap)
 

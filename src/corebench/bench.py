@@ -292,6 +292,11 @@ def load_csv(path: str, label_column: str, model: str,
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     header = [h.strip() for h in header]
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"{path}: duplicate column {name!r}")
+        seen.add(name)
     if label_column not in header:
         raise DataError(f"{path}: label column {label_column!r} not found "
                         f"(columns: {', '.join(header)})")

@@ -90,13 +90,17 @@ def _discard_unwritten(fh) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
+    # usage errors found after parsing print the subcommand's usage, as
+    # argparse's own errors in its flags do
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices[args["experiment"]]
     out_path = args.pop("out")
     if "input_path" not in args and args.keys() & {"label_col", "standardize"}:
-        parser.error("--label-col and --standardize need --input")
+        command.error("--label-col and --standardize need --input")
     try:
         spec = ExperimentSpec(**args)
     except ValueError as exc:
-        parser.error(str(exc))
+        command.error(str(exc))
 
     # --out is opened before the run, so a bad path costs no work; like
     # shell redirection, a data error leaves the file empty. Opening the

@@ -21,6 +21,14 @@ Since d_t = (ell - <ell(w_t), ell> ell(w_t)) / ||.||, both follow from the
 constant scores U @ ell (``problem.unit_scores``) and the projections
 U @ ell(w_t), which the state's ``hilbert.Projections`` carrier holds from
 step to step (and resyncs on its own cadence).
+
+Each row scores <ell_n, d_t> / sqrt(1 - <ell_n, ell(w_t)>^2), and rows with
+1 - <ell_n, ell(w_t)>^2 at most zero_tol(d)^2 score 0. A step where every
+row clears that bound (all but a few, such as a run's second step, where
+ell(w_t) is one row) scores with no mask. Scores above 1 come only from
+cancellation in that denominator, so ``select`` takes its argmax before
+the clamp and clamps, and picks again, only when the winner exceeds 1: the
+pick and score of the clamped scores, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +56,25 @@ STEP_DENOM_TOL = 1e-12     # line-search denominator guard
 CLAMP_WARN_TOL = 1e-9      # gamma outside [0,1] beyond this is suspicious
 
 
+def _quotients(num: np.ndarray, zv: np.ndarray, dim: int,
+               out: np.ndarray | None) -> np.ndarray:
+    """``objective_from_products`` without the clamp. A mask is made only
+    when some row has 1 - zv^2 at most zero_tol(dim)^2."""
+    den = np.multiply(zv, zv, out=out)
+    np.subtract(1.0, den, out=den)
+    # fixed, not the floor: 1 - zv^2 of unit vectors rounds at eps at any scale
+    tol2 = zero_tol(dim) ** 2
+    if den.size and den[den.argmin()] > tol2:     # argmin: a faster pass than min
+        np.sqrt(den, out=den)
+        return np.divide(num, den, out=den)
+    ok = den > tol2
+    with np.errstate(invalid="ignore", divide="ignore"):    # rows not ok are reset
+        np.sqrt(den, out=den)
+        scores = np.divide(num, den, out=den)
+    scores[~ok] = 0.0
+    return scores
+
+
 def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int,
                             out: np.ndarray | None = None) -> np.ndarray:
     """Selection objective num / sqrt(1 - zv^2), clamped to [-1, 1], from
@@ -55,18 +82,13 @@ def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int,
     residual direction and v the unit iterate. The scores are written into
     ``out`` (a new array when None), which may not share memory with num.
 
-    Rows parallel to v (vanishing tangent component) score 0 by the
-    zero-vector convention. The clamp removes spurious > 1 values produced
-    by cancellation in the 1 - <ell_n, v>^2 denominator.
+    Rows with 1 - zv^2 at most zero_tol(dim)^2 (parallel to v, a vanishing
+    tangent component) score 0 by the zero-vector convention; when no row
+    is that close, the scores are computed with no mask. The clamp removes
+    spurious > 1 values produced by cancellation in the 1 - <ell_n, v>^2
+    denominator.
     """
-    den = np.multiply(zv, zv, out=out)
-    np.subtract(1.0, den, out=den)
-    # fixed, not the floor: 1 - zv^2 of unit vectors rounds at eps at any scale
-    ok = den > zero_tol(dim) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):    # rows not ok are reset
-        np.sqrt(den, out=den)
-        scores = np.divide(num, den, out=den)
-    scores[~ok] = 0.0
+    scores = _quotients(num, zv, dim, out)
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 
@@ -113,7 +135,13 @@ def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
     positive.
 
     The scan scores U @ d_t = (unit_scores - alignment * U @ ell(w)) / ||.||
-    from the projections of ``state.scan``, in the carrier's two buffers.
+    from the projections of ``state.scan``, in the carrier's two buffers,
+    by the formula of ``objective_from_products`` without its clamp: the
+    scores are clamped, and the pick taken again, only when the winner
+    exceeds 1. When every 1 - <ell_n, ell(w)>^2 is above zero_tol(d)^2,
+    the scan takes no mask either and scores in nine N-length passes: three
+    for the numerator, two for the denominator, an argmin for that bound,
+    the square root, the quotient and the argmax.
     """
     resid_norm = math.sqrt(state.J)
     if resid_norm <= problem.floor:
@@ -124,8 +152,11 @@ def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
     np.multiply(state.alignment, proj, out=num)
     np.subtract(problem.unit_scores, num, out=num)
     num /= resid_norm
-    objective_from_products(num, proj, problem.dimension, out=scores)
-    n_t = int(np.argmax(scores))        # ties break to the lowest index
+    _quotients(num, proj, problem.dimension, scores)
+    n_t = int(scores.argmax())          # ties break to the lowest index
+    if scores[n_t] > 1.0:               # clamped, ties at 1 go to the lowest index
+        np.minimum(scores, 1.0, out=scores)
+        n_t = int(scores.argmax())
     score = float(scores[n_t])
     if score <= 0.0:
         raise Stop("converged")
@@ -178,7 +209,8 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     a, b = (1.0 - gamma) / nrm, gamma / nrm
     state.weights *= a
     state.weights[n_t] += b
-    state.ell_w = direction / nrm
+    direction /= nrm
+    state.ell_w = direction
     state.t += 1
     state.scan.move(n_t, a, b)
 

@@ -283,6 +283,13 @@ class TestLoadCsv:
         np.testing.assert_array_equal(data.y, [1.0, -1.0])
         np.testing.assert_array_equal(data.x, [[0.5], [2.0]])
 
+    def test_duplicate_column_name_is_rejected(self, tmp_path):
+        # the second y would be fitted as a feature beside the first's labels
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1,y\n1,0.5,1\n0,2.0,0\n")
+        with pytest.raises(DataError, match=r"d\.csv: duplicate column 'y'"):
+            load_csv(str(path), "y", "logistic")
+
     def test_nan_cell_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\nnan,1\n2.0,1\n")
@@ -307,8 +314,7 @@ class TestCli:
         assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
 
     def test_usage_error_is_exit_1(self, capsys):
-        for argv in (["ortho", "--algs", "bogus"],
-                     ["no-such-experiment"],
+        for argv in (["no-such-experiment"],
                      ["ortho", "--use-captree"],
                      ["ortho", "--dim", "3"],          # only synth-* take --dim
                      ["regress", "--dim", "3"]):
@@ -316,6 +322,24 @@ class TestCli:
                 main(argv)
             assert exc.value.code == 1, argv
             assert capsys.readouterr().err.splitlines()[-1].startswith("corebench: error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["regress", "--n", "0"], "n must be >= 1"),
+        (["synth-vectors", "--algs", "giga,giga"], "duplicate algorithms: giga,giga"),
+        (["regress", "--standardize"], "--label-col and --standardize need --input"),
+        (["ortho", "--algs", "bogus"], "unknown algorithms: ['bogus']"),
+    ], ids=["spec-check", "duplicate-algs", "input-flag", "unknown-alg"])
+    def test_usage_error_after_parsing_prints_the_subcommand_usage(self, argv, message,
+                                                                    capsys):
+        # argparse's own errors in a subcommand's flags print its usage too
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: corebench {argv[0]} [-h]")
+        assert lines[-1] == f"corebench {argv[0]}: error: {message}"
 
     def test_flags_are_spec_fields_and_defaults_are_stated_once(self):
         parser = build_parser()
@@ -341,7 +365,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == \
-            "corebench: error: duplicate algorithms: giga,giga"
+            "corebench synth-gauss: error: duplicate algorithms: giga,giga"
 
     def test_empty_algorithm_list_is_one_line_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -350,7 +374,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == \
-            "corebench: error: no algorithms selected; choose from giga,fw,is,rnd"
+            "corebench synth-gauss: error: no algorithms selected; choose from giga,fw,is,rnd"
         with pytest.raises(ValueError, match="no algorithms"):
             spec(algorithms=())
 
@@ -378,7 +402,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == \
-            "corebench: error: --label-col and --standardize need --input"
+            "corebench regress: error: --label-col and --standardize need --input"
 
     def test_negative_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -386,7 +410,7 @@ class TestCli:
                   "--m-max", "3", "--seed", "-1"])
         assert exc.value.code == 1
         assert capsys.readouterr().err.splitlines()[-1] == \
-            "corebench: error: seed must be >= 0"
+            "corebench synth-vectors: error: seed must be >= 0"
 
     @pytest.mark.parametrize("target", ["directory", "missing-parent"])
     def test_unwritable_out_is_one_line_usage_error(self, target, tmp_path,
@@ -495,7 +519,7 @@ class TestCli:
             main(argv[:1] + ["--trials", "1", "--m-max", "2"] + argv[1:])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith("corebench: error: ")
+        assert err.splitlines()[-1].startswith(f"corebench {argv[0]}: error: ")
         assert "must be >= 1" in err
 
     @pytest.mark.parametrize("argv", [

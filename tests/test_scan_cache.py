@@ -5,13 +5,15 @@ GIGA and FW pick each point from projections U @ x of their iterate that a
 of recomputing them. These tests check the picks against reference loops
 that recompute every product from scratch, that the column cache stays
 within its cap, and that no step does more than one N x d product. GIGA
-scores in the carrier's buffers: its scores are checked bit for bit against
-the allocating expression they replace, and a step without a product
-against an allocation budget.
+scores in the carrier's buffers: its scores and picks are checked bit for
+bit against the allocating expression they replace, on both sides of the
+bound below which a row is masked and with winners above 1, and a step
+without a product against an allocation budget.
 """
 
 import copy
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -368,6 +370,84 @@ def test_giga_select_is_bit_equal_to_the_allocating_scan(rng):
     assert steps >= 24 * 20 and ties >= steps // 2
 
 
+class Carried:
+    """A carrier that hands ``select`` the projections ``values``."""
+
+    def __init__(self, values):
+        self.values = values
+        self.buffers = (np.empty_like(values), np.empty_like(values))
+
+    def of(self, x):
+        return self.values
+
+
+def scan_path(problem, state, proj):
+    """Whether ``select`` scores ``proj`` with no mask, and whether its
+    unclamped winner exceeds 1."""
+    den = 1.0 - proj * proj
+    with np.errstate(invalid="ignore", divide="ignore"):
+        num = (problem.unit_scores - state.alignment * proj) / np.sqrt(state.J)
+        raw = np.where(den > zero_tol(problem.dimension) ** 2, num / np.sqrt(den), 0.0)
+    return bool(den.min() > zero_tol(problem.dimension) ** 2), bool(raw.max() > 1.0)
+
+
+def boundary_states(rng):
+    """(problem, state) pairs on each side of the bound at which ``select``
+    masks a row, with winners above 1 and not."""
+    p = tall_problem(rng)
+    U = p.unit_vectors
+    # rows equal to ell(w): the second step of a run, where ell(w) is the
+    # first pick, and that row's projection carried as exactly +-1
+    state = giga.initial_state(p)
+    n_t, _ = giga.select(p, state)
+    giga.update(p, state, n_t, giga.step_size(p, state, n_t))
+    yield p, state
+    for k, sign in [(n_t, 1.0), (3, -1.0)]:
+        proj = U @ U[k]
+        proj[k] = sign
+        alignment = float(U[k] @ p.unit_target)
+        resid = p.unit_target - alignment * U[k]
+        for J in (float(resid @ resid), 1e-6 * float(resid @ resid)):
+            yield p, giga.GigaState(t=1, weights=np.zeros(p.n), ell_w=U[k].copy(),
+                                    alignment=alignment, J=J, scan=Carried(proj))
+    # a winner above 1: a residual norm 1e3 times too small, mid-run
+    for _ in range(5):
+        n_t, _ = giga.select(p, state)
+        giga.update(p, state, n_t, giga.step_size(p, state, n_t))
+    yield p, dataclasses.replace(state, J=state.J * 1e-6, scan=Projections(p, zero=False))
+    # 1 - zv^2 at zero_tol(d)^2 and one ulp of zv on either side. select reads
+    # only unit_scores, floor and dimension of its problem; for any real d,
+    # tol^2 ~ 1e-24 d lies below the 2^-53 steps of 1 - zv^2 near |zv| = 1,
+    # so a stand-in with this dimension puts tol^2 ~ 0.01 where they land on it
+    dim = 101 * 10 ** 20
+    tol2 = zero_tol(dim) ** 2
+    edge = np.sqrt(1.0 - tol2)
+    edge = next(z for z in edge + np.arange(-8, 9) * np.spacing(edge) if 1.0 - z * z == tol2)
+    for zv in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
+        assert (1.0 - zv * zv > tol2) == (zv < edge)      # only the first is unmasked
+        for row_wins in (True, False):      # row 7, at the bound, would win or lose unmasked
+            proj = rng.uniform(-0.5, 0.5, size=40)
+            proj[7] = -zv if row_wins else zv
+            stand_in = types.SimpleNamespace(unit_scores=rng.uniform(-0.2, 0.2, size=40),
+                                             floor=0.0, dimension=dim)
+            stand_in.unit_scores[7] = 0.99 if row_wins else -0.2
+            for J in (1.0, 0.5):
+                yield stand_in, giga.GigaState(t=3, weights=None, ell_w=None,
+                                               alignment=0.4, J=J, scan=Carried(proj))
+
+
+def test_select_is_bit_equal_on_both_sides_of_the_mask_bound(rng):
+    seen = set()
+    for problem, state in boundary_states(rng):
+        proj = state.scan.of(state.ell_w).copy()
+        expected = reference_select(problem, state, proj)
+        assert select_or_stop(problem, state) == expected       # floats: bit-equal
+        if expected is not None:
+            seen.add(scan_path(problem, state, proj))
+    # unmasked or masked, with an unclamped winner above 1 or not
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_move_is_bit_equal_to_scale_and_add():
     p = build_problem(np.random.default_rng(6).normal(size=(500, 8)))
     U = p.unit_vectors
@@ -381,10 +461,11 @@ def test_move_is_bit_equal_to_scale_and_add():
         np.testing.assert_array_equal(bits(scan.of(x)), bits(values))
 
 
-def test_step_without_a_product_allocates_less_than_one_projection():
-    p = counted(build_problem(np.random.default_rng(0).normal(size=(10_000, 50))))
+def product_free_step_peaks(p):
+    """Traced allocation peaks of a GIGA run's steps that take no N x d
+    product on the counted problem ``p``, each with whether its scan had
+    no row within 1e-6 of parallel to ell(w), so that it needs no mask."""
     state = giga.initial_state(p)
-    one_array = p.n * np.dtype(np.float64).itemsize
 
     def step():
         n_t, _ = giga.select(p, state)
@@ -393,11 +474,27 @@ def test_step_without_a_product_allocates_less_than_one_projection():
     peaks = []
     while True:
         p.unit_vectors.products = 0
+        zv = p.unit_vectors.rows @ state.ell_w         # not counted
+        unmasked = float((1.0 - zv * zv).min()) > 1e-6
         try:
             _, peak = traced_peak(step)
         except Stop:
             break
         if p.unit_vectors.products == 0:    # scored the carried values, took no column
-            peaks.append(peak)
+            peaks.append((peak, unmasked))
+    return peaks
+
+
+def test_step_without_a_product_allocates_less_than_one_projection():
+    p = counted(build_problem(np.random.default_rng(0).normal(size=(10_000, 50))))
+    peaks = [peak for peak, _ in product_free_step_peaks(p)]
     assert len(peaks) >= 2
-    assert max(peaks) < one_array
+    assert max(peaks) < p.n * np.dtype(np.float64).itemsize
+
+
+def test_unmasked_step_without_a_product_allocates_no_mask():
+    # a mask over the N scores is N bytes; the masked scan takes two
+    p = counted(build_problem(np.random.default_rng(0).normal(size=(10_000, 50))))
+    peaks = [peak for peak, unmasked in product_free_step_peaks(p) if unmasked]
+    assert len(peaks) >= 2
+    assert max(peaks) < p.n
