@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .hilbert import (
-    RENORM_INTERVAL,
     ZERO_TOL_COEFF,
     CoresetProblem,
     Projections,
@@ -56,12 +55,12 @@ def fw_coreset(problem: CoresetProblem, M: int,
     ell_{n_t}. The line search uses direct row products, so the weights do
     not depend on the carried projections.
 
-    Every RENORM_INTERVAL steps, before it steps, the run recomputes the true
-    error with ``hilbert.relative_error`` (not from the carried L(w), which
-    under-reports it near the float floor) and stops with "float floor" once
-    it is at most FLOOR_MULTIPLE floors (a residual of that many eps * sigma).
-    Since w = 1 is feasible, the optimum is 0, and such a residual is rounding
-    that no further step can remove (see Jaggi, ICML 2013, on FW certificates).
+    Before it steps, the run stops with "float floor" once its error is at
+    most FLOOR_MULTIPLE floors (a residual of that many eps * sigma): when the
+    norm of the carried L - L(w) (not its square, which underflows first) is
+    that small, ``relative_error`` decides, as the carried L(w) under-reports
+    the error near the floor. Since w = 1 is feasible, the optimum is 0, and
+    such a residual is rounding that no step can remove (Jaggi, ICML 2013).
     """
     U = problem.unit_vectors
     sigma = problem.sigma_total
@@ -71,6 +70,7 @@ def fw_coreset(problem: CoresetProblem, M: int,
     scan = Projections(problem)                      # of U @ L(w_t)
     scores = scan.buffers[0]
     floor_err = FLOOR_MULTIPLE * problem.floor
+    floor_resid = FLOOR_MULTIPLE * np.finfo(np.float64).eps * sigma
     w = np.zeros(problem.n)
     Lw = None
 
@@ -86,10 +86,10 @@ def fw_coreset(problem: CoresetProblem, M: int,
             gap = float(Lw @ L)
             scan.move(n_t, 0.0, sigma)
         else:
-            if (t - 1) % RENORM_INTERVAL == 0:
-                if relative_error(problem, WeightVector.from_dense(w)) <= floor_err:
-                    raise Stop("float floor")
             resid = L - Lw
+            if (np.sqrt(resid @ resid) <= floor_resid
+                    and relative_error(problem, WeightVector.from_dense(w)) <= floor_err):
+                raise Stop("float floor")
             n_t = int(np.subtract(target_scores, scan.of(Lw), out=scores).argmax())
             vertex = sigma * U[n_t]
             direction = vertex - Lw

@@ -89,11 +89,13 @@ def _discard_unwritten(fh) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = vars(parser.parse_args(argv))
-    # usage errors found after parsing print the subcommand's usage, as
-    # argparse's own errors in its flags do
+    args, unknown = parser.parse_known_args(argv)
+    args = vars(args)
+    # leftover flags and checks after parsing print the subcommand's usage, as argparse does
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = commands.choices[args["experiment"]]
+    if unknown:
+        command.error(f"unrecognized arguments: {' '.join(unknown)}")
     out_path = args.pop("out")
     if "input_path" not in args and args.keys() & {"label_col", "standardize"}:
         command.error("--label-col and --standardize need --input")

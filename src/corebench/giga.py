@@ -75,12 +75,10 @@ def _quotients(num: np.ndarray, zv: np.ndarray, dim: int,
     return scores
 
 
-def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int,
-                            out: np.ndarray | None = None) -> np.ndarray:
+def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int) -> np.ndarray:
     """Selection objective num / sqrt(1 - zv^2), clamped to [-1, 1], from
     the products num = <ell_n, u> and zv = <ell_n, v>, where u is the unit
-    residual direction and v the unit iterate. The scores are written into
-    ``out`` (a new array when None), which may not share memory with num.
+    residual direction and v the unit iterate, as a new array.
 
     Rows with 1 - zv^2 at most zero_tol(dim)^2 (parallel to v, a vanishing
     tangent component) score 0 by the zero-vector convention; when no row
@@ -88,7 +86,7 @@ def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int,
     spurious > 1 values produced by cancellation in the 1 - <ell_n, v>^2
     denominator.
     """
-    scores = _quotients(num, zv, dim, out)
+    scores = _quotients(num, zv, dim, None)
     return np.clip(scores, -1.0, 1.0, out=scores)
 
 

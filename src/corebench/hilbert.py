@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ZERO_TOL_COEFF = 1e-12
-RENORM_INTERVAL = 64       # Projections moves between resyncs; FW steps between floor checks
+RENORM_INTERVAL = 64       # Projections moves between resyncs
 WEIGHTED_SUM_BLOCK = 2 ** 16   # floats gathered at once by weighted_sum: 512 KB
 
 

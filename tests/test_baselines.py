@@ -66,21 +66,32 @@ class TestFrankWolfe:
             assert w.nnz <= m
 
     def test_degenerate_line_search_stops_early(self):
-        # N=1: the iterate sits on the only vertex after initialization
-        p = build_problem([(3.0, 4.0)])
-        w, diag = fw_coreset(p, 5)
+        # near-collinear rows c_n b + s z_n: the picked vertex lies within
+        # ZERO_TOL_COEFF * sigma of the iterate while the error is still
+        # some 1e5 floors (one row would not do: FW sits on L after one step
+        # and stops at the float floor)
+        rng = np.random.default_rng(0)
+        b, z = rng.normal(size=5), rng.normal(size=(30, 5))
+        c = np.abs(rng.normal(size=30)) + 0.5
+        p = build_problem(c[:, None] * b + 1e-10 * z)
+        w, diag = fw_coreset(p, 2000)
         assert diag.stop_reason == "degenerate line search"
-        assert w.nnz == 1
+        assert len(diag.selected) == 1 and w.nnz == 1
+        assert relative_error(p, w) > 1e4 * p.floor
 
     def test_stops_at_the_float_floor(self):
         # synth-vectors at a small shape: FW reaches rounding long before M
         p = build_problem(np.random.default_rng(11).normal(size=(2000, 20)))
         M = 500
-        w, diag = fw_coreset(p, M)
+        w, diag = fw_coreset(p, M, checkpoints=range(1, M + 1))
         assert diag.stop_reason == "float floor"
         assert len(diag.selected) < M
         assert relative_error(p, w) <= 4 * p.floor
         assert w.nnz <= len(diag.selected)
+        # and at the first budget within 4 floors, not some steps after it
+        first = next(m for m in range(1, M + 1)
+                     if relative_error(p, diag.snapshots[m]) <= 4 * p.floor)
+        assert len(diag.selected) == first
 
 
 class TestAxisProblemFormulas:

@@ -314,21 +314,22 @@ class TestCli:
         assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
 
     def test_usage_error_is_exit_1(self, capsys):
-        for argv in (["no-such-experiment"],
-                     ["ortho", "--use-captree"],
-                     ["ortho", "--dim", "3"],          # only synth-* take --dim
-                     ["regress", "--dim", "3"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 1, argv
-            assert capsys.readouterr().err.splitlines()[-1].startswith("corebench: error: ")
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-experiment"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("corebench: error: ")
 
     @pytest.mark.parametrize("argv, message", [
         (["regress", "--n", "0"], "n must be >= 1"),
         (["synth-vectors", "--algs", "giga,giga"], "duplicate algorithms: giga,giga"),
         (["regress", "--standardize"], "--label-col and --standardize need --input"),
         (["ortho", "--algs", "bogus"], "unknown algorithms: ['bogus']"),
-    ], ids=["spec-check", "duplicate-algs", "input-flag", "unknown-alg"])
+        (["ortho", "--bogus"], "unrecognized arguments: --bogus"),
+        (["ortho", "--use-captree"], "unrecognized arguments: --use-captree"),
+        (["ortho", "--dim", "3"], "unrecognized arguments: --dim 3"),  # only synth-* take --dim
+        (["regress", "--dim", "3"], "unrecognized arguments: --dim 3"),
+    ], ids=["spec-check", "duplicate-algs", "input-flag", "unknown-alg", "unknown-flag",
+            "use-captree", "ortho-dim", "regress-dim"])
     def test_usage_error_after_parsing_prints_the_subcommand_usage(self, argv, message,
                                                                     capsys):
         # argparse's own errors in a subcommand's flags print its usage too

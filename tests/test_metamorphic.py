@@ -17,20 +17,29 @@ FW = fw_coreset(PROBLEM, M)
 
 
 def outputs(rows):
-    """Weights and relative error of GIGA, FW, IS and RND, as bytes and floats."""
+    """Weights and relative error of GIGA, FW, IS and RND, as bytes and floats,
+    then FW's stop reason and step count at a budget past its float floor."""
     p = build_problem(rows)
+    fw_floor, fw_run = fw_coreset(p, 5 * M)
     weights = [giga_run(p, M)[0], fw_coreset(p, M)[0],
-               sampling_sweep(p, [M], 0, "IS")[M], sampling_sweep(p, [M], 0, "RND")[M]]
-    return [(w.indices.tobytes(), w.values.tobytes(), relative_error(p, w)) for w in weights]
+               sampling_sweep(p, [M], 0, "IS")[M], sampling_sweep(p, [M], 0, "RND")[M],
+               fw_floor]
+    return ([(w.indices.tobytes(), w.values.tobytes(), relative_error(p, w)) for w in weights]
+            + [(fw_run.stop_reason, len(fw_run.times))])
 
 
 @given(k=st.integers(-300, 300))
 @example(k=-40)
+@example(k=-300)
+@example(k=300)
 @settings(max_examples=60, deadline=None)
 def test_power_of_two_scaling_changes_no_bit(k):
     # scaling by 2^k is exact in float64, and so are the norms, unit vectors
-    # and ratios computed from the scaled rows; no tolerance may depend on it
-    assert outputs(np.ldexp(ROWS, k)) == outputs(ROWS)
+    # and ratios computed from the scaled rows; no tolerance may depend on it,
+    # the float-floor stop's included
+    expected = outputs(ROWS)
+    assert expected[-1][0] == "float floor"
+    assert outputs(np.ldexp(ROWS, k)) == expected
 
 
 @given(perm=st.permutations(range(len(ROWS))))
