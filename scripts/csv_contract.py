@@ -35,8 +35,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from corebench.bench import ExperimentSpec, _trial_problems  # noqa: E402
-from corebench.cli import build_parser, main  # noqa: E402
+from corebench.bench import _trial_problems  # noqa: E402
+from corebench.cli import main, parse  # noqa: E402
 
 SEED = "7"
 RUNS = [
@@ -61,9 +61,7 @@ def contract_rows(argv: list[str]) -> list[str]:
 
 def trial_floors(argv: list[str]) -> list[float]:
     """``problem.floor`` of each trial's problem, built as the run builds it."""
-    args = vars(build_parser().parse_args(argv + ["--seed", SEED]))
-    args.pop("out")
-    spec = ExperimentSpec(**args)
+    spec, _ = parse(argv + ["--seed", SEED])
     problem_of = _trial_problems(spec)
     return [problem_of(trial)[0].floor for trial in range(spec.trials)]
 

@@ -35,7 +35,7 @@ from .hilbert import (
 FLOOR_MULTIPLE = 4
 
 
-def fw_coreset(problem: CoresetProblem, M: int,
+def fw_coreset(problem: CoresetProblem, M: int, *,
                checkpoints=None) -> tuple[WeightVector, Run]:
     """Frank-Wolfe with exact line search on the simplex-scaled polytope;
     returns the weights and the ``hilbert.Run`` record.

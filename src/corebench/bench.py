@@ -1,13 +1,11 @@
 """Benchmark harness: dataset generation, construction sweeps, CSV output.
 
-Experiments (desk-scale defaults in parentheses):
+Experiments (``EXPERIMENTS`` holds their desk-scale default sizes):
 
-* ``synth-gauss``   -- Gaussian unknown-mean study (N=10 observations,
-  1000 trials, budget 1): size-1 coresets per algorithm, reporting the
-  relative error of the coreset posterior variance in the ``extra`` column.
-* ``synth-vectors`` -- i.i.d. standard normal vectors (N=10^4, dim=50,
-  20 trials, budgets 1..1000).
-* ``ortho``         -- axis-aligned vectors L_n = (1/N) e_n (N=1000), the
+* ``synth-gauss``   -- Gaussian unknown-mean study, reporting the relative
+  error of the coreset posterior variance in the ``extra`` column.
+* ``synth-vectors`` -- i.i.d. standard normal vectors.
+* ``ortho``         -- axis-aligned vectors L_n = (1/N) e_n, the
   construction where simplex-constrained methods have error sqrt(N/M - 1).
 * ``regress``       -- logistic/Poisson regression with a Laplace fit and
   random-feature projection; errors are measured in the projected space.
@@ -47,7 +45,12 @@ from .models import (
     project,
 )
 
-EXPERIMENTS = ("synth-gauss", "synth-vectors", "ortho", "regress")
+EXPERIMENTS = {
+    "synth-gauss": dict(n=10, trials=1000, m_max=1),
+    "synth-vectors": dict(n=10_000, dim=50, trials=20, m_max=1000),
+    "ortho": dict(n=1000, trials=1, m_max=1000),
+    "regress": dict(n=2000, trials=20, m_max=1000),
+}
 ALGORITHMS = ("giga", "fw", "is", "rnd")
 CSV_COLUMNS = ("trial", "algorithm", "M", "rel_error", "size", "cpu_seconds", "extra")
 

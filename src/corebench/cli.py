@@ -1,12 +1,12 @@
 """Command-line entry point: one subcommand per experiment, CSV out.
 
-Each flag's ``dest`` is an ``ExperimentSpec`` field, and a flag the user
-leaves out is absent from the parsed namespace (``argparse.SUPPRESS``), so
-the spec's own default applies. Only the per-experiment sizes and the seed
-default are set here.
+``parse`` turns a command line into an ``ExperimentSpec``; each flag's
+``dest`` is a spec field. A flag the user leaves out is absent from the
+parsed namespace (``argparse.SUPPRESS``), so the spec's own default applies,
+except for the seed and the sizes in ``bench.EXPERIMENTS``.
 
-Exit codes: 0 on success, 1 on usage errors and on inputs too large to
-allocate, 2 on data errors.
+Exit codes: 0 on success, 1 on usage errors (those in a subcommand's flags
+print its usage) and on inputs too large to allocate, 2 on data errors.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ import contextlib
 import os
 import sys
 
-from .bench import DataError, ExperimentSpec, run_experiment, write_csv
-
-_DEFAULTS = {
-    "synth-gauss": dict(n=10, trials=1000, m_max=1),
-    "synth-vectors": dict(n=10_000, dim=50, trials=20, m_max=1000),
-    "ortho": dict(n=1000, trials=1, m_max=1000),
-    "regress": dict(n=2000, trials=20, m_max=1000),
-}
+from .bench import EXPERIMENTS, DataError, ExperimentSpec, run_experiment, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Coreset construction benchmarks (CSV output).")
     sub = parser.add_subparsers(dest="experiment", required=True,
                                 parser_class=_Parser)
-    for name, sizes in _DEFAULTS.items():
+    for name, sizes in EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment",
                            argument_default=argparse.SUPPRESS)
         p.add_argument("--n", type=int, help="dataset size (default %(default)s)")
@@ -70,8 +63,24 @@ def build_parser() -> argparse.ArgumentParser:
                            help="standardize features from --input")
             p.add_argument("--proj-samples", type=int,
                            help="posterior gradient samples (default: ~500/(D+1))")
-        p.set_defaults(**sizes)
+        p.set_defaults(**sizes, command=p)
     return parser
+
+
+def parse(argv=None) -> tuple[ExperimentSpec, str | None]:
+    """The spec and the ``--out`` path (None: stdout) of a command line."""
+    args, unknown = build_parser().parse_known_args(argv)
+    args = vars(args)
+    command = args.pop("command")
+    if unknown:
+        command.error(f"unrecognized arguments: {' '.join(unknown)}")
+    out_path = args.pop("out")
+    if "input_path" not in args and args.keys() & {"label_col", "standardize"}:
+        command.error("--label-col and --standardize need --input")
+    try:
+        return ExperimentSpec(**args), out_path
+    except ValueError as exc:
+        command.error(str(exc))
 
 
 def _discard_unwritten(fh) -> None:
@@ -87,22 +96,13 @@ def _discard_unwritten(fh) -> None:
             os.close(null)
 
 
+def _fail(message: str):
+    print(f"corebench: error: {message}", file=sys.stderr)
+    sys.exit(1)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    args = vars(args)
-    # leftover flags and checks after parsing print the subcommand's usage, as argparse does
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands.choices[args["experiment"]]
-    if unknown:
-        command.error(f"unrecognized arguments: {' '.join(unknown)}")
-    out_path = args.pop("out")
-    if "input_path" not in args and args.keys() & {"label_col", "standardize"}:
-        command.error("--label-col and --standardize need --input")
-    try:
-        spec = ExperimentSpec(**args)
-    except ValueError as exc:
-        command.error(str(exc))
+    spec, out_path = parse(argv)
 
     # --out is opened before the run, so a bad path costs no work; like
     # shell redirection, a data error leaves the file empty. Opening the
@@ -111,11 +111,11 @@ def main(argv=None) -> int:
     if out_path:
         with contextlib.suppress(OSError):
             if spec.input_path and os.path.samefile(out_path, spec.input_path):
-                parser.exit(1, f"{parser.prog}: error: --out {out_path} is the --input file\n")
+                _fail(f"--out {out_path} is the --input file")
         try:
             out = open(out_path, "w", newline="")
         except OSError as exc:
-            parser.exit(1, f"{parser.prog}: error: cannot write {out_path}: {exc.strerror}\n")
+            _fail(f"cannot write {out_path}: {exc.strerror}")
     with out as fh:
         try:
             rows = run_experiment(spec)
@@ -132,8 +132,7 @@ def main(argv=None) -> int:
                 fh.close()      # a failing close at the end of the with would escape
         except OSError as exc:
             _discard_unwritten(fh)
-            parser.exit(1, f"{parser.prog}: error: cannot write {out_path or 'stdout'}: "
-                           f"{exc.strerror or exc}\n")
+            _fail(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}")
     return 0
 
 

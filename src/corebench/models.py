@@ -142,7 +142,9 @@ def log_likelihood(model: str, Z: np.ndarray, y: np.ndarray,
     if model == "poisson":
         lam = np.maximum(np.logaddexp(0.0, u), _TINY)
         return float((y * np.log(lam) - lam).sum())
-    return float(-0.5 * ((y - u) ** 2).sum())
+    if model == "gaussian":
+        return float(-0.5 * ((y - u) ** 2).sum())
+    raise ValueError(f"unknown model {model!r}")
 
 
 def log_likelihood_grad(model: str, Z: np.ndarray, y: np.ndarray,

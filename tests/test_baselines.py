@@ -79,6 +79,11 @@ class TestFrankWolfe:
         assert len(diag.selected) == 1 and w.nnz == 1
         assert relative_error(p, w) > 1e4 * p.floor
 
+    @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
+    def test_checkpoints_are_keyword_only(self, construct):
+        with pytest.raises(TypeError):
+            construct(axis_problem(4), 2, [1, 2])
+
     def test_stops_at_the_float_floor(self):
         # synth-vectors at a small shape: FW reaches rounding long before M
         p = build_problem(np.random.default_rng(11).normal(size=(2000, 20)))

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import dataclasses
 import errno
@@ -15,6 +14,7 @@ import pytest
 from corebench.bench import (
     ALGORITHMS,
     CSV_COLUMNS,
+    EXPERIMENTS,
     DataError,
     ExperimentSpec,
     _construction_rows,
@@ -25,7 +25,8 @@ from corebench.bench import (
     synth_regression_data,
     write_csv,
 )
-from corebench.cli import _DEFAULTS, build_parser, main
+from corebench import cli
+from corebench.cli import build_parser, main, parse
 from corebench.hilbert import WeightVector, relative_error
 from corebench.models import laplace, project
 
@@ -313,6 +314,12 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
 
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        assert main(["ortho", "--n", "8", "--m-max", "2", "--trials", "1"]) == 0
+        assert len(built) == 1
+
     def test_usage_error_is_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-experiment"])
@@ -343,19 +350,13 @@ class TestCli:
         assert lines[-1] == f"corebench {argv[0]}: error: {message}"
 
     def test_flags_are_spec_fields_and_defaults_are_stated_once(self):
-        parser = build_parser()
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction)).choices
         fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
-        assert set(subparsers) == set(_DEFAULTS)
-        for name, sub in subparsers.items():
-            dests = {a.dest for a in sub._actions if a.option_strings} - {"help", "out"}
+        for name, sizes in EXPERIMENTS.items():
+            command = build_parser().parse_args([name]).command
+            dests = {a.dest for a in command._actions if a.option_strings} - {"help", "out"}
             assert dests <= fields, name
             assert ("dim" in dests) == name.startswith("synth-"), name
-            args = vars(parser.parse_args([name]))
-            assert args.pop("out") is None
-            assert ExperimentSpec(**args) == \
-                ExperimentSpec(experiment=name, seed=0, **_DEFAULTS[name])
+            assert parse([name]) == (ExperimentSpec(experiment=name, seed=0, **sizes), None)
 
     def test_duplicate_algorithm_is_one_line_usage_error(self, capsys):
         # a repeated name would run that construction again and print its

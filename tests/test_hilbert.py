@@ -138,6 +138,11 @@ class TestBuildProblem:
             p = random_problem(rng, max_n=20, max_dim=6)
             assert p.sigma_total >= p.target_norm * (1 - 1e-12)
 
+    def test_many_equal_rows_build(self):
+        # summing 1e5 equal rows can round ||L|| above sigma by over 1e-12 relative
+        p = build_problem(np.tile(np.random.default_rng(0).normal(size=3), (10**5, 1)))
+        assert p.n == 10**5 and not p.trivial
+
 
 class TestWeightedSum:
     def test_empty_weights(self):

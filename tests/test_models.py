@@ -275,3 +275,6 @@ class TestValidation:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             laplace("probit", GaussianMeanData([1.0]))
+        for fn in (log_likelihood, log_likelihood_grad):
+            with pytest.raises(ValueError, match="unknown model 'bogus'"):
+                fn("bogus", np.ones((3, 2)), np.ones(3), np.zeros(2))

@@ -1,10 +1,10 @@
 """The command lines that the repository's tools pass to the CLI still parse.
 
-``scripts/csv_contract.py``, ``scripts/run_experiments.py`` and
-``perfbench/run.py`` each keep their own argv lists, so a renamed or
-dropped flag would only show when one of them is run. Each argv here must
-parse with ``cli.build_parser()`` and give an ``ExperimentSpec``; the
-contract script is also run once to check the shape of its output.
+``scripts/csv_contract.py`` and ``perfbench/run.py`` each keep their own
+argv lists, so a renamed or dropped flag would only show when one of them is
+run. Each argv here must pass ``cli.parse``, under the same rules as
+``cli.main``, and give an ``ExperimentSpec``; the contract script is also
+run once to check the shape of its output.
 """
 
 import subprocess
@@ -12,14 +12,13 @@ import sys
 
 import pytest
 
-from corebench.bench import ExperimentSpec, log_grid
-from corebench.cli import build_parser
+from corebench.bench import log_grid
+from corebench.cli import parse
 
 from conftest import ROOT, load
 
 
 CONTRACT = load("scripts/csv_contract.py")
-EXPERIMENTS = load("scripts/run_experiments.py")
 PERFBENCH = load("perfbench/run.py")
 
 
@@ -31,15 +30,8 @@ def perfbench_argv(workload: dict) -> list[str]:
                                "--seed", "0", "--out", "r1.csv"]
 
 
-def parse(argv: list[str]) -> ExperimentSpec:
-    args = vars(build_parser().parse_args(argv))
-    args.pop("out")
-    return ExperimentSpec(**args)
-
-
 ARGVS = (
     [("csv_contract", argv + ["--seed", CONTRACT.SEED]) for argv in CONTRACT.RUNS]
-    + [("run_experiments", argv) for argv in EXPERIMENTS.RUNS.values()]
     + [(f"perfbench {name}", perfbench_argv(wl)) for name, wl in PERFBENCH.WORKLOADS.items()]
     + [(f"perfbench tiny {name}", perfbench_argv(wl)) for name, wl in PERFBENCH.TINY.items()]
 )
@@ -48,7 +40,7 @@ ARGVS = (
 @pytest.mark.parametrize("argv", [argv for _, argv in ARGVS],
                          ids=[f"{tool}: {' '.join(argv[:3])}" for tool, argv in ARGVS])
 def test_tool_argv_parses_to_a_spec(argv):
-    assert parse(argv).experiment == argv[0]
+    assert parse(argv)[0].experiment == argv[0]
 
 
 def test_contract_script_prints_every_block():
@@ -59,6 +51,6 @@ def test_contract_script_prints_every_block():
     assert [lines[i] for i in starts] == ["# " + " ".join(argv) for argv in CONTRACT.RUNS]
     for i, end, argv in zip(starts, starts[1:] + [len(lines)], CONTRACT.RUNS):
         assert lines[i + 1] == ",".join(CONTRACT.COLUMNS)
-        spec = parse(argv + ["--seed", CONTRACT.SEED])
+        spec, _ = parse(argv + ["--seed", CONTRACT.SEED])
         rows = spec.trials * len(spec.algorithms) * len(log_grid(spec.m_max))
         assert end - i - 2 == rows, " ".join(argv)
