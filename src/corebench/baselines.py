@@ -122,9 +122,10 @@ def sampling_sweep(problem: CoresetProblem, grid, seed,
     """
     if method not in ("IS", "RND"):
         raise ValueError("sampling_sweep supports IS and RND only")
-    grid = sorted(set(int(m) for m in grid))
-    if not grid or grid[0] < 1:
-        raise ValueError("grid budgets must be >= 1")
+    grid = sorted(set(grid))
+    if not grid or any(m < 1 or m % 1 for m in grid):
+        raise ValueError("grid budgets must be >= 1 and integral")
+    grid = [int(m) for m in grid]
     if problem.n == 0:
         return {m: WeightVector.empty() for m in grid}
     rng = np.random.default_rng(seed)

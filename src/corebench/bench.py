@@ -34,6 +34,7 @@ import numpy as np
 from . import baselines, giga
 from .hilbert import CoresetProblem, WeightVector, build_problem, relative_error
 from .models import (
+    REGRESSION_MODELS,
     GaussianMeanData,
     LaplaceNotConverged,
     RegressionData,
@@ -89,6 +90,8 @@ class ExperimentSpec:
             raise ValueError("seed must be >= 0")
         if self.experiment == "synth-vectors" and self.dim < 1:
             raise ValueError("dim must be >= 1 for synth-vectors")
+        if self.model not in REGRESSION_MODELS:
+            raise ValueError(f"unknown model {self.model!r}")
         if self.proj_samples is not None and self.proj_samples < 1:
             raise ValueError("proj_samples must be >= 1")
         if not self.algorithms:
@@ -277,9 +280,10 @@ def load_csv(path: str, label_column: str, model: str,
     may be coded {0, 1} (mapped to {-1, +1}) or {-1, +1} directly; Poisson
     labels must be nonnegative integers. Schema problems and CSV parse
     errors raise DataError with the offending file line number (the header
-    is line 1; a multi-line record gets its last line). With ``standardize``,
-    features are shifted/scaled to mean 0 and variance 1 (constant columns
-    are only centered).
+    is line 1; a multi-line record gets its last line); a record's first
+    non-numeric cell is named. With ``standardize``, features are
+    shifted/scaled to mean 0 and variance 1 (constant columns are only
+    centered).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:   # a BOM is no header text
@@ -315,12 +319,13 @@ def load_csv(path: str, label_column: str, model: str,
         if len(record) != len(header):
             raise DataError(f"{path}: row {reader.line_num} has {len(record)} fields, "
                             f"expected {len(header)}")
-        try:
-            values = [float(c) for c in record]
-        except ValueError:
-            bad = next(c for c in record if not _is_float(c))
-            raise DataError(f"{path}: row {reader.line_num}: non-numeric value "
-                            f"{bad.strip()!r}") from None
+        values = []
+        for cell in record:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise DataError(f"{path}: row {reader.line_num}: non-numeric value "
+                                f"{cell.strip()!r}") from None
         xs.append([values[i] for i in feature_idx])
         ys.append(values[label_idx])
     if not ys:
@@ -356,11 +361,3 @@ def _records(reader, path: str):
         yield from reader
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False

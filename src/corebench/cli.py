@@ -17,6 +17,7 @@ import os
 import sys
 
 from .bench import EXPERIMENTS, DataError, ExperimentSpec, run_experiment, write_csv
+from .models import REGRESSION_MODELS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output CSV path (default: stdout)")
         if name == "regress":
-            p.add_argument("--model", choices=("logistic", "poisson"))
+            p.add_argument("--model", choices=REGRESSION_MODELS)
             p.add_argument("--input", dest="input_path", metavar="INPUT",
                            help="CSV dataset (default: synthetic)")
             p.add_argument("--label-col", help="label column name for --input "

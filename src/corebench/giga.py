@@ -23,8 +23,9 @@ U @ ell(w_t), which the state's ``hilbert.Projections`` carrier holds from
 step to step (and resyncs on its own cadence).
 
 Each row scores <ell_n, d_t> / sqrt(1 - <ell_n, ell(w_t)>^2), and rows with
-1 - <ell_n, ell(w_t)>^2 at most zero_tol(d)^2 score 0. A step where every
-row clears that bound (all but a few, such as a run's second step, where
+1 - <ell_n, ell(w_t)>^2 at most zero_tol(d)^2 score 0 (``cap_objective``
+states the score; ``select`` computes it in place). A step where every row
+clears that bound (all but a few, such as a run's second step, where
 ell(w_t) is one row) scores with no mask. Scores above 1 come only from
 cancellation in that denominator, so ``select`` takes its argmax before
 the clamp and clamps, and picks again, only when the winner exceeds 1: the
@@ -58,8 +59,9 @@ CLAMP_WARN_TOL = 1e-9      # gamma outside [0,1] beyond this is suspicious
 
 def _quotients(num: np.ndarray, zv: np.ndarray, dim: int,
                out: np.ndarray | None) -> np.ndarray:
-    """``objective_from_products`` without the clamp. A mask is made only
-    when some row has 1 - zv^2 at most zero_tol(dim)^2."""
+    """``cap_objective``'s scores without the clamp, from the products
+    num = <ell_n, u> and zv = <ell_n, v>. A mask is made only when some row
+    has 1 - zv^2 at most zero_tol(dim)^2."""
     den = np.multiply(zv, zv, out=out)
     np.subtract(1.0, den, out=den)
     # fixed, not the floor: 1 - zv^2 of unit vectors rounds at eps at any scale
@@ -75,26 +77,21 @@ def _quotients(num: np.ndarray, zv: np.ndarray, dim: int,
     return scores
 
 
-def objective_from_products(num: np.ndarray, zv: np.ndarray, dim: int) -> np.ndarray:
-    """Selection objective num / sqrt(1 - zv^2), clamped to [-1, 1], from
-    the products num = <ell_n, u> and zv = <ell_n, v>, where u is the unit
-    residual direction and v the unit iterate, as a new array.
+def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Selection objective num / sqrt(1 - zv^2) of each row ell_n of
+    ``vectors``, clamped to [-1, 1], where num = <ell_n, u> and
+    zv = <ell_n, v> for the unit residual direction u and the unit
+    iterate v, as a new array.
 
-    Rows with 1 - zv^2 at most zero_tol(dim)^2 (parallel to v, a vanishing
+    Rows with 1 - zv^2 at most zero_tol(d)^2 (parallel to v, a vanishing
     tangent component) score 0 by the zero-vector convention; when no row
     is that close, the scores are computed with no mask. The clamp removes
     spurious > 1 values produced by cancellation in the 1 - <ell_n, v>^2
     denominator.
     """
-    scores = _quotients(num, zv, dim, None)
-    return np.clip(scores, -1.0, 1.0, out=scores)
-
-
-def cap_objective(vectors: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Selection objective for each row of ``vectors`` (see
-    ``objective_from_products``)."""
     vectors = np.atleast_2d(vectors)
-    return objective_from_products(vectors @ u, vectors @ v, vectors.shape[1])
+    scores = _quotients(vectors @ u, vectors @ v, vectors.shape[1], None)
+    return np.clip(scores, -1.0, 1.0, out=scores)
 
 
 @dataclass(eq=False)
@@ -134,7 +131,7 @@ def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
 
     The scan scores U @ d_t = (unit_scores - alignment * U @ ell(w)) / ||.||
     from the projections of ``state.scan``, in the carrier's two buffers,
-    by the formula of ``objective_from_products`` without its clamp: the
+    by the formula of ``cap_objective`` without its clamp: the
     scores are clamped, and the pick taken again, only when the winner
     exceeds 1. When every 1 - <ell_n, ell(w)>^2 is above zero_tol(d)^2,
     the scan takes no mask either and scores in nine N-length passes: three

@@ -242,15 +242,15 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
     ``step(t)`` performs step t = 1..M and returns its ``Step``, or raises
     ``Stop`` to end the run early; ``snapshot()`` returns the output weights
     of the current iterate. Returns ``(final, run)``, where
-    ``run.snapshots`` maps each checkpoint (each at least 1) to the weights
-    after that many steps (checkpoints past an early stop get the final
-    weights).
+    ``run.snapshots`` maps each checkpoint (an integral value, at least 1)
+    to the weights after that many steps (checkpoints past an early stop
+    get the final weights).
     """
     if M < 1:
         raise ValueError("iteration budget M must be >= 1")
     cps = set(checkpoints or ())
-    if any(m < 1 for m in cps):
-        raise ValueError("checkpoints must be >= 1")
+    if any(m < 1 or m % 1 for m in cps):
+        raise ValueError("checkpoints must be >= 1 and integral")
     run = Run()
     t_start = time.thread_time()
     for t in range(1, M + 1):
@@ -273,17 +273,20 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
 def build_problem(vectors) -> CoresetProblem:
     """Assemble a CoresetProblem from a sequence of equal-length vectors.
 
-    Raises ValueError on empty input, non-finite entries or norms that
-    overflow float64. Zero-norm rows, those with a norm of at most
-    ``zero_tol(dim)`` times the largest row norm, are silently dropped (they
-    cannot affect the objective); the returned problem's ``kept_indices``
-    records the input row of each kept row.
+    Raises ValueError on input that is not 1-D or 2-D, empty input,
+    complex or non-finite entries, or norms that overflow float64.
+    Zero-norm rows, those with a norm of at most ``zero_tol(dim)`` times
+    the largest row norm, are silently dropped (they cannot affect the
+    objective); the returned problem's ``kept_indices`` records the input
+    row of each kept row.
 
     The input is copied once, to C-ordered float64, and never aliased: the
     caller's array stays writeable and shares no memory with the problem.
     That copy, or its kept rows, divided in place by the row norms (taken
     in blocks of rows), is the problem's one N x d array ``unit_vectors``.
     """
+    if np.iscomplexobj(vectors):            # the cast would drop the imaginary part
+        raise ValueError("invalid vector: complex entries")
     return _build_in_place(np.array(vectors, dtype=np.float64, order="C"))
 
 
@@ -294,7 +297,9 @@ def _build_in_place(V: np.ndarray) -> CoresetProblem:
     """
     if V.ndim == 1:
         V = V[None, :] if V.size else V.reshape(0, 0)
-    if V.ndim != 2 or V.shape[0] == 0:
+    if V.ndim != 2:
+        raise ValueError(f"vectors must form a 1-D or 2-D array, not shape {V.shape}")
+    if V.shape[0] == 0:
         raise ValueError("empty problem: need at least one input vector")
     if not np.all(np.isfinite(V)):
         raise ValueError("invalid vector: non-finite entry")

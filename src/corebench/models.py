@@ -26,7 +26,8 @@ import numpy as np
 
 from .hilbert import CoresetProblem, WeightVector, _build_in_place, build_problem
 
-MODELS = ("gaussian", "logistic", "poisson")
+REGRESSION_MODELS = ("logistic", "poisson")
+MODELS = ("gaussian", *REGRESSION_MODELS)
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -118,14 +119,16 @@ def default_sample_count(param_dim: int) -> int:
 # --- likelihoods: values, per-datum gradients, negative-curvature weights ---
 
 def _design(model: str, data) -> tuple[np.ndarray, np.ndarray]:
+    """Design matrix and targets: ones for "gaussian", which takes
+    ``GaussianMeanData``, and z_n = [x_n; 1] for the ``REGRESSION_MODELS``,
+    which take ``RegressionData``."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    needs = GaussianMeanData if model == "gaussian" else RegressionData
+    if not isinstance(data, needs):
+        raise TypeError(f"{model} model needs {needs.__name__}")
     if model == "gaussian":
-        if isinstance(data, RegressionData):
-            return data.z, data.y
         return np.ones((data.n, 1)), data.y
-    if not isinstance(data, RegressionData):
-        raise TypeError(f"{model} model needs RegressionData")
     if model == "logistic" and not np.all(np.isin(data.y, (-1.0, 1.0))):
         raise ValueError("logistic labels must be -1 or +1")
     if model == "poisson" and (np.any(data.y < 0) or np.any(data.y != np.round(data.y))):

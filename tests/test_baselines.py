@@ -219,6 +219,15 @@ class TestSweep:
             np.testing.assert_array_equal(sweep[m].indices, w.indices)
             np.testing.assert_allclose(sweep[m].values, w.values)
 
+    @pytest.mark.parametrize("method", ["IS", "RND"])
+    def test_grid_budgets_are_integral_and_at_least_one(self, method):
+        # a truncated budget would be filed under a key the caller never asked for
+        p = build_problem([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        for grid in ([2.7, 5], [np.float64(1.5)], [0, 3], []):
+            with pytest.raises(ValueError, match="grid budgets must be >= 1 and integral"):
+                sampling_sweep(p, grid, 0, method)
+        assert list(sampling_sweep(p, np.array([5, 2]), 0, method)) == [2, 5]
+
 
 def every_method(p):
     """(indices, values, rel_error) of GIGA, FW, IS and RND at budgets 1, 2, 5."""

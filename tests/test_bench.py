@@ -28,7 +28,7 @@ from corebench.bench import (
 from corebench import cli
 from corebench.cli import build_parser, main, parse
 from corebench.hilbert import WeightVector, relative_error
-from corebench.models import laplace, project
+from corebench.models import REGRESSION_MODELS, laplace, project
 
 
 def csv_text(rows) -> str:
@@ -357,6 +357,15 @@ class TestCli:
             assert dests <= fields, name
             assert ("dim" in dests) == name.startswith("synth-"), name
             assert parse([name]) == (ExperimentSpec(experiment=name, seed=0, **sizes), None)
+
+    def test_models_are_the_regression_models(self):
+        # the parser offers the list the spec checks
+        command = build_parser().parse_args(["regress"]).command
+        model, = (a for a in command._actions if a.dest == "model")
+        assert tuple(model.choices) == REGRESSION_MODELS
+        with pytest.raises(ValueError, match="unknown model 'bogus'"):
+            ExperimentSpec(experiment="regress", n=10, m_max=2, trials=1, seed=0,
+                           model="bogus")
 
     def test_duplicate_algorithm_is_one_line_usage_error(self, capsys):
         # a repeated name would run that construction again and print its

@@ -52,6 +52,17 @@ class TestBuildProblem:
         with pytest.raises(ValueError, match="empty problem"):
             build_problem([])
 
+    def test_not_one_or_two_dimensional_rejected(self):
+        for vectors in (5.0, np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match=r"1-D or 2-D array, not shape \("):
+                build_problem(vectors)
+
+    def test_complex_rejected(self):
+        # a cast to float64 would keep only the real part
+        for vectors in (np.array([[1 + 2j, 0.5]]), [[np.complex128(1.0), 0.5]]):
+            with pytest.raises(ValueError, match="complex entries"):
+                build_problem(vectors)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="invalid vector"):
             build_problem([(1.0, np.nan)])
@@ -248,7 +259,7 @@ class TestIterate:
     def test_checkpoints_below_one_rejected(self, construct):
         # they would otherwise be labelled with the weights of the full run
         p = build_problem([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-        for checkpoints in ([0, -3], [0], [2, 0]):
+        for checkpoints in ([0, -3], [0], [2, 0], [2.5, 3], [np.float64(1.5)]):
             with pytest.raises(ValueError, match="checkpoints must be >= 1"):
                 construct(p, 5, checkpoints=checkpoints)
 

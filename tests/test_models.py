@@ -6,10 +6,12 @@ import pytest
 from corebench.bench import synth_regression_data
 from corebench.hilbert import WeightVector, build_problem
 from corebench.models import (
+    REGRESSION_MODELS,
     GaussianMeanData,
     LaplaceNotConverged,
     RegressionData,
     _curvature,
+    _design,
     coreset_posterior_variance,
     default_sample_count,
     expit,
@@ -271,6 +273,14 @@ class TestValidation:
         data = RegressionData(rng.normal(size=(3, 1)), np.array([1.0, -2.0, 0.0]))
         with pytest.raises(ValueError, match="counts"):
             laplace("poisson", data)
+
+    def test_each_model_takes_its_own_data(self, rng):
+        regression = RegressionData(rng.normal(size=(3, 1)), np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(TypeError, match="gaussian model needs GaussianMeanData"):
+            _design("gaussian", regression)
+        for model in REGRESSION_MODELS:
+            with pytest.raises(TypeError, match=f"{model} model needs RegressionData"):
+                _design(model, GaussianMeanData([1.0, -1.0, 1.0]))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):

@@ -284,7 +284,7 @@ def test_cost_keeps_digits_below_float_resolution_of_alignment():
 
 def reference_objective(num, zv, dim):
     """GIGA's selection objective as an allocating expression: the
-    in-place ``giga.objective_from_products`` must give its bits."""
+    in-place ``giga.cap_objective`` must give its bits."""
     den2 = np.maximum(1.0 - zv ** 2, 0.0)
     ok = den2 > zero_tol(dim) ** 2
     scores = np.where(ok, num / np.sqrt(np.where(ok, den2, 1.0)), 0.0)
@@ -320,7 +320,12 @@ def test_objective_is_bit_equal_to_the_allocating_expression(rng):
     expected = reference_objective(num, zv, dim)
     assert (expected == 1.0).sum() >= 3 and (expected == -1.0).sum() >= 2
     assert (expected == 0.0).sum() >= 10
-    np.testing.assert_array_equal(bits(giga.objective_from_products(num, zv, dim)),
+    # rows (num, zv, 0, ...) against the first two axes: the products are num and zv
+    rows = np.zeros((zv.size, dim))
+    rows[:, 0], rows[:, 1] = num, zv
+    axes = np.eye(dim)
+    assert np.array_equal(rows @ axes[0], num) and np.array_equal(rows @ axes[1], zv)
+    np.testing.assert_array_equal(bits(giga.cap_objective(rows, axes[0], axes[1])),
                                   bits(expected))
     np.testing.assert_array_equal(bits(giga.cap_objective(np.eye(3), zv[:3], zv[3:6])),
                                   bits(reference_objective(zv[:3], zv[3:6], 3)))
