@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -80,6 +81,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        optional = () if self.proj_samples is None else ("proj_samples",)
+        for name in ("n", "m_max", "trials", "seed", "dim", *optional):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):    # numpy ints are Integral
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.m_max < 1:
@@ -335,11 +341,9 @@ def load_csv(path: str, label_column: str, model: str,
     y = np.asarray(ys)
     if model == "logistic":
         present = set(np.unique(y).tolist())
-        if present <= {-1.0, 1.0}:
-            pass
-        elif present <= {0.0, 1.0}:
+        if present <= {0.0, 1.0}:
             y = np.where(y == 0.0, -1.0, 1.0)
-        else:
+        elif not present <= {-1.0, 1.0}:
             raise DataError(f"{path}: logistic labels must be coded "
                             f"{{0,1}} or {{-1,1}}, got {sorted(present)}")
     elif model == "poisson":

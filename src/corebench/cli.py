@@ -16,7 +16,8 @@ import contextlib
 import os
 import sys
 
-from .bench import EXPERIMENTS, DataError, ExperimentSpec, run_experiment, write_csv
+from .bench import (ALGORITHMS, EXPERIMENTS, DataError, ExperimentSpec, run_experiment,
+                    write_csv)
 from .models import REGRESSION_MODELS
 
 
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m-max", type=int,
                        help="largest construction budget (default %(default)s)")
         p.add_argument("--algs", dest="algorithms", type=_algorithms, metavar="ALGS",
-                       help="comma-separated subset of giga,fw,is,rnd")
+                       help=f"comma-separated subset of {','.join(ALGORITHMS)}")
         p.add_argument("--seed", type=int, default=0, help="root RNG seed")
         p.add_argument("--out", default=None,
                        help="output CSV path (default: stdout)")

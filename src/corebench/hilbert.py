@@ -56,13 +56,12 @@ class WeightVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.indices.shape != self.values.shape or self.indices.ndim != 1:
             raise ValueError("indices and values must be equal-length 1-D arrays")
-        if self.indices.size:
-            if np.unique(self.indices).size != self.indices.size:
-                raise ValueError("duplicate indices in weight vector")
-            if np.any(self.indices < 0):
-                raise ValueError("negative index in weight vector")
-            if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
-                raise ValueError("stored weights must be positive and finite")
+        if np.unique(self.indices).size != self.indices.size:
+            raise ValueError("duplicate indices in weight vector")
+        if np.any(self.indices < 0):
+            raise ValueError("negative index in weight vector")
+        if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
+            raise ValueError("stored weights must be positive and finite")
 
     @classmethod
     def _unchecked(cls, indices: np.ndarray, values: np.ndarray) -> "WeightVector":
@@ -92,11 +91,6 @@ class WeightVector:
 
     def total(self) -> float:
         return float(self.values.sum())
-
-    def to_dense(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        out[self.indices] = self.values
-        return out
 
 
 @dataclass(eq=False)
@@ -241,19 +235,19 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
 
     ``step(t)`` performs step t = 1..M and returns its ``Step``, or raises
     ``Stop`` to end the run early; ``snapshot()`` returns the output weights
-    of the current iterate. Returns ``(final, run)``, where
-    ``run.snapshots`` maps each checkpoint (an integral value, at least 1)
-    to the weights after that many steps (checkpoints past an early stop
-    get the final weights).
+    of the current iterate. M and each checkpoint are integral values of at
+    least 1. Returns ``(final, run)``, where ``run.snapshots`` maps each
+    checkpoint to the weights after that many steps (checkpoints past an
+    early stop get the final weights).
     """
-    if M < 1:
-        raise ValueError("iteration budget M must be >= 1")
+    if M < 1 or M % 1:
+        raise ValueError("iteration budget M must be >= 1 and integral")
     cps = set(checkpoints or ())
     if any(m < 1 or m % 1 for m in cps):
         raise ValueError("checkpoints must be >= 1 and integral")
     run = Run()
     t_start = time.thread_time()
-    for t in range(1, M + 1):
+    for t in range(1, int(M) + 1):
         try:
             record = step(t)
         except Stop as stop:
@@ -273,8 +267,8 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
 def build_problem(vectors) -> CoresetProblem:
     """Assemble a CoresetProblem from a sequence of equal-length vectors.
 
-    Raises ValueError on input that is not 1-D or 2-D, empty input,
-    complex or non-finite entries, or norms that overflow float64.
+    Raises ValueError on input that is not 1-D or 2-D or has no entries,
+    on complex or non-finite entries, or on norms that overflow float64.
     Zero-norm rows, those with a norm of at most ``zero_tol(dim)`` times
     the largest row norm, are silently dropped (they cannot affect the
     objective); the returned problem's ``kept_indices`` records the input
@@ -296,11 +290,11 @@ def _build_in_place(V: np.ndarray) -> CoresetProblem:
     (or its kept rows do, when a row is dropped: a boolean index copies).
     """
     if V.ndim == 1:
-        V = V[None, :] if V.size else V.reshape(0, 0)
+        V = V[None, :]
     if V.ndim != 2:
         raise ValueError(f"vectors must form a 1-D or 2-D array, not shape {V.shape}")
-    if V.shape[0] == 0:
-        raise ValueError("empty problem: need at least one input vector")
+    if V.size == 0:
+        raise ValueError("empty problem: need at least one vector with at least one entry")
     if not np.all(np.isfinite(V)):
         raise ValueError("invalid vector: non-finite entry")
 
@@ -349,7 +343,7 @@ def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
     """
     if np.any(w.indices >= problem.n):
         raise IndexError("weight index out of range for problem")
-    rows = max(WEIGHTED_SUM_BLOCK // max(problem.dimension, 1), 1)
+    rows = max(WEIGHTED_SUM_BLOCK // problem.dimension, 1)
     total = np.zeros(problem.dimension)
     for start in range(0, w.nnz, rows):
         idx, values = w.indices[start:start + rows], w.values[start:start + rows]

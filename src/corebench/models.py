@@ -266,7 +266,7 @@ def coreset_posterior_variance(data: GaussianMeanData,
     """Closed-form weighted posterior N(sum w_n y_n / (1+W), 1 / (1+W)) for
     weights w over the observations (input rows, see ``to_original``)."""
     wsum = w.total()
-    wy = float(w.values @ data.y[w.indices]) if w.nnz else 0.0
+    wy = float(w.values @ data.y[w.indices])
     return wy / (1.0 + wsum), 1.0 / (1.0 + wsum)
 
 

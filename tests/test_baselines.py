@@ -32,7 +32,8 @@ class TestFrankWolfe:
         p = build_problem([(3.0, 4.0)])
         w, _ = fw_coreset(p, 1)
         # vertex scaling sigma / sigma_0 = 1 recovers L exactly
-        np.testing.assert_allclose(w.to_dense(1), [1.0])
+        np.testing.assert_array_equal(w.indices, [0])
+        np.testing.assert_allclose(w.values, [1.0])
         assert relative_error(p, w) == pytest.approx(0.0, abs=1e-15)
 
     def test_simplex_feasibility_throughout(self, rng):
@@ -141,7 +142,8 @@ class TestImportanceSampling:
         p = build_problem([(3.0, 4.0)])
         for m in (1, 5):
             w = sample("IS", p, m, seed=0)
-            np.testing.assert_allclose(w.to_dense(1), [1.0])
+            np.testing.assert_array_equal(w.indices, [0])
+            np.testing.assert_allclose(w.values, [1.0])
 
     def test_axis_weights_are_multiplicity_scaled(self):
         p = axis_problem(8)
@@ -184,7 +186,8 @@ class TestUniformSubsampling:
     def test_single_vector(self):
         p = build_problem([(3.0, 4.0)])
         w = sample("RND", p, 4, seed=0)
-        np.testing.assert_allclose(w.to_dense(1), [1.0])
+        np.testing.assert_array_equal(w.indices, [0])
+        np.testing.assert_allclose(w.values, [1.0])
 
     def test_weight_sum_is_n(self, rng):
         for seed in range(20):

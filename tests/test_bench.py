@@ -367,6 +367,17 @@ class TestCli:
             ExperimentSpec(experiment="regress", n=10, m_max=2, trials=1, seed=0,
                            model="bogus")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 50.7), ("m_max", 2.5), ("trials", 1.5), ("seed", 0.5), ("dim", 3.0),
+        ("proj_samples", 2.5), ("n", None),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        # a fractional m_max would run the budgets of log_grid(int part)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            spec(**{field: value})
+        # numpy ints pass, as they come from array arithmetic
+        assert getattr(spec(**{field: np.int64(3)}), field) == 3
+
     def test_duplicate_algorithm_is_one_line_usage_error(self, capsys):
         # a repeated name would run that construction again and print its
         # rows twice

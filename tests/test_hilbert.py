@@ -39,7 +39,8 @@ class TestBuildProblem:
         np.testing.assert_allclose(p.target, [2.0, 0.0])
         # problem row 0 is input row 1
         w = p.to_original(WeightVector(np.array([0]), np.array([3.0])))
-        np.testing.assert_array_equal(w.to_dense(2), [0.0, 3.0])
+        np.testing.assert_array_equal(w.indices, [1])
+        np.testing.assert_array_equal(w.values, [3.0])
 
     def test_axis_problem_constants(self):
         # four axis vectors (1/4) e_n: sigma_n = 1/N, sigma = 1, ||L|| = 1/2
@@ -51,6 +52,12 @@ class TestBuildProblem:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty problem"):
             build_problem([])
+
+    def test_vectors_of_length_zero_rejected(self):
+        # no entries, however many rows: not a problem with n = 0 and dimension 0
+        for vectors in (np.zeros((3, 0)), [[]], np.empty((0, 4))):
+            with pytest.raises(ValueError, match="empty problem"):
+                build_problem(vectors)
 
     def test_not_one_or_two_dimensional_rejected(self):
         for vectors in (5.0, np.ones((2, 2, 2))):
@@ -252,8 +259,21 @@ class TestIterate:
         assert run.selected == [1, 2, 3, 4]
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="M must be >= 1"):
-            iterate(lambda t: None, lambda: "w", 0)
+        for M in (0, 2.5, np.float64(2.5)):
+            with pytest.raises(ValueError, match="M must be >= 1"):
+                iterate(lambda t: None, lambda: "w", M)
+
+    @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
+    def test_budget_is_integral(self, construct):
+        # an integral float runs as its int, like a checkpoint; a fractional one raises
+        p = build_problem(np.random.default_rng(7).normal(size=(20, 10)))
+        w, run = construct(p, 3.0)
+        assert (len(run.times), run.stop_reason) == (3, None)
+        w_int, run_int = construct(p, 3)
+        assert run.selected == run_int.selected
+        np.testing.assert_array_equal(w.values, w_int.values)
+        with pytest.raises(ValueError, match="M must be >= 1 and integral"):
+            construct(p, 2.5)
 
     @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
     def test_checkpoints_below_one_rejected(self, construct):
@@ -297,7 +317,8 @@ class TestIterate:
         assert diag.stop_reason == reason
         assert len(diag.times) == 1
         for m in (1, 3, 5):
-            np.testing.assert_allclose(diag.snapshots[m].to_dense(1), [1.0])
+            np.testing.assert_array_equal(diag.snapshots[m].indices, [0])
+            np.testing.assert_allclose(diag.snapshots[m].values, [1.0])
 
 
 class TestWeightVector:
@@ -323,14 +344,15 @@ class TestWeightVector:
         for dtype in (np.int32, np.uint8, np.int64):
             w = WeightVector(np.array([2, 0], dtype=dtype), [1.0, 2.0])
             assert w.indices.dtype == np.int64
-            np.testing.assert_array_equal(w.to_dense(3), [2.0, 0.0, 1.0])
+            np.testing.assert_array_equal(w.indices, [2, 0])
+            np.testing.assert_array_equal(w.values, [1.0, 2.0])
         assert WeightVector([], []).nnz == 0
 
     def test_from_dense_drops_zeros(self):
         w = WeightVector.from_dense(np.array([0.0, 2.0, 0.0, 1.0]))
         np.testing.assert_array_equal(w.indices, [1, 3])
         assert w.nnz == 2
-        np.testing.assert_array_equal(w.to_dense(4), [0.0, 2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(w.values, [2.0, 1.0])
 
 
 class TestErrorHelpers:
@@ -373,6 +395,7 @@ class TestIndexSpace:
         assert p.n == 8
         for w in construct(p):
             assert w.nnz and np.all(w.indices < p.n)
-            dense = p.to_original(w).to_dense(V.shape[0])
+            orig = p.to_original(w)
+            dense = np.bincount(orig.indices, orig.values, minlength=V.shape[0])
             expected = np.linalg.norm(dense @ V - p.target) / p.target_norm
             assert relative_error(p, w) == pytest.approx(expected, rel=1e-12, abs=1e-14)
