@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the behaviour-contract columns of all five experiments.
+"""Print the behaviour-contract columns of the four experiments, in five runs.
 
 Usage: python3 scripts/csv_contract.py > contract.txt
 

@@ -122,8 +122,8 @@ class ResultRow:
 
 def log_grid(m_max: int) -> list[int]:
     """Strictly increasing log-spaced integer budgets from 1 to m_max (at most 20)."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    if m_max < 1 or m_max % 1:
+        raise ValueError("m_max must be >= 1 and integral")
     # geomspace returns its endpoints exactly, so the rounded grid holds 1 and m_max
     return np.unique(np.round(np.geomspace(1, m_max, 20)).astype(int)).tolist()
 

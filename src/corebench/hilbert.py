@@ -141,10 +141,10 @@ class Projections:
 
     Moving x to ``a * x + b * ell_n`` moves the values to
     ``values * a + col * b`` with the Gram column ``col = U @ ell_n``: O(N)
-    instead of an N x d product. At most ``problem.dimension`` columns are
-    cached, no more floats than ``U`` holds, and a step does at most one
-    N x d product. Without its column, or on every RENORM_INTERVAL-th move,
-    a move drops the values and the next ``of`` recomputes them, so
+    instead of an N x d product. A move computes a missing column while
+    fewer than ``problem.dimension`` are cached, so the cache holds no more
+    floats than ``U``. Without its column, or on every RENORM_INTERVAL-th
+    move, a move drops the values and the next ``of`` recomputes them, so
     rounding carried by the moves never outlives RENORM_INTERVAL steps. The
     values start as those of x = 0, or dropped with ``zero=False``.
 
@@ -159,7 +159,6 @@ class Projections:
         self._capacity = problem.dimension
         self._columns: dict[int, np.ndarray] = {}
         self._values = np.zeros(problem.n) if zero else None
-        self._spent = False           # this step has done its one product
         self._moves = 0
         self.buffers = (np.empty(problem.n), np.empty(problem.n))
 
@@ -170,16 +169,14 @@ class Projections:
         """``U @ x``: the carried values, or one product if they were dropped."""
         if self._values is None:
             self._values = self._unit @ x
-            self._spent = True
         return self._values
 
     def move(self, n: int, a: float, b: float) -> None:
-        """Follow ``x <- a * x + b * ell_n`` and end the step; column n is
-        computed if not cached, there is room and the step has no product."""
+        """Follow ``x <- a * x + b * ell_n``; column n is computed if it is
+        not cached and the cache has room."""
         col = self._columns.get(n)
-        if col is None and not self._spent and len(self._columns) < self._capacity:
+        if col is None and len(self._columns) < self._capacity:
             col = self._columns[n] = self._unit @ self._unit[n]
-        self._spent = False
         self._moves += 1
         if col is None or self._moves % RENORM_INTERVAL == 0 or self._values is None:
             self._values = None
@@ -268,19 +265,22 @@ def build_problem(vectors) -> CoresetProblem:
     """Assemble a CoresetProblem from a sequence of equal-length vectors.
 
     Raises ValueError on input that is not 1-D or 2-D or has no entries,
-    on complex or non-finite entries, or on norms that overflow float64.
-    Zero-norm rows, those with a norm of at most ``zero_tol(dim)`` times
-    the largest row norm, are silently dropped (they cannot affect the
-    objective); the returned problem's ``kept_indices`` records the input
-    row of each kept row.
+    on complex, string or non-finite entries, or on norms that overflow
+    float64. Zero-norm rows, those with a norm of at most ``zero_tol(dim)``
+    times the largest row norm, are silently dropped (they cannot affect
+    the objective); the returned problem's ``kept_indices`` records the
+    input row of each kept row.
 
     The input is copied once, to C-ordered float64, and never aliased: the
     caller's array stays writeable and shares no memory with the problem.
     That copy, or its kept rows, divided in place by the row norms (taken
     in blocks of rows), is the problem's one N x d array ``unit_vectors``.
     """
-    if np.iscomplexobj(vectors):            # the cast would drop the imaginary part
+    kind = np.asarray(vectors).dtype.kind
+    if kind == "c":                         # the cast would drop the imaginary part
         raise ValueError("invalid vector: complex entries")
+    if kind in "SU":                        # the cast would parse the strings
+        raise ValueError("invalid vector: non-numeric entries")
     return _build_in_place(np.array(vectors, dtype=np.float64, order="C"))
 
 

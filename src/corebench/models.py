@@ -20,7 +20,7 @@ products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class RegressionData:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
+        if x.ndim != 2:
+            raise ValueError(f"features must form a 1-D or 2-D array, not shape {x.shape}")
         y = np.asarray(self.y, dtype=np.float64).ravel()
         if x.shape[0] != y.size:
             raise ValueError("feature rows and targets disagree in length")
@@ -97,18 +99,18 @@ class RegressionData:
 
 @dataclass(frozen=True, eq=False)
 class LaplaceApprox:
-    """Posterior mode, covariance, and a lower-triangular sampling factor."""
+    """Posterior mode, covariance, and its lower-triangular Cholesky factor."""
 
     mode: np.ndarray
     covariance: np.ndarray
-    factor: np.ndarray
+    factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
         cov = self.covariance
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        if np.any(np.diag(self.factor) <= 0):
-            raise ValueError("factor diagonal must be positive")
+        # LinAlgError, a ValueError, when cov is not positive definite
+        object.__setattr__(self, "factor", np.linalg.cholesky(cov))
 
 
 def default_sample_count(param_dim: int) -> int:
@@ -210,8 +212,7 @@ def laplace(model: str, data) -> LaplaceApprox:
     def approx_at(th):
         cov = np.linalg.inv(neg_hessian(th))
         cov = 0.5 * (cov + cov.T)
-        return LaplaceApprox(mode=th, covariance=cov,
-                             factor=np.linalg.cholesky(cov))
+        return LaplaceApprox(mode=th, covariance=cov)
 
     def grad_at(th):
         return -th + log_likelihood_grad(model, Z, y, th).sum(axis=0)

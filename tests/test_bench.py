@@ -60,8 +60,10 @@ class TestLogGrid:
             assert len(grid) <= 20, m_max
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            log_grid(0)
+        for m_max in (0, 2.5, 1.4):
+            with pytest.raises(ValueError, match="m_max must be >= 1 and integral"):
+                log_grid(m_max)
+        assert log_grid(3.0) == log_grid(3)
 
 
 class TestRowsWellFormed:

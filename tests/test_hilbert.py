@@ -70,6 +70,12 @@ class TestBuildProblem:
             with pytest.raises(ValueError, match="complex entries"):
                 build_problem(vectors)
 
+    def test_strings_rejected(self):
+        # a cast to float64 would parse them as numbers
+        for vectors in ([["1", "2"]], np.array([[b"1", b"2"]]), [[1, "2"]]):
+            with pytest.raises(ValueError, match="non-numeric entries"):
+                build_problem(vectors)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="invalid vector"):
             build_problem([(1.0, np.nan)])

@@ -8,6 +8,7 @@ from corebench.hilbert import WeightVector, build_problem
 from corebench.models import (
     REGRESSION_MODELS,
     GaussianMeanData,
+    LaplaceApprox,
     LaplaceNotConverged,
     RegressionData,
     _curvature,
@@ -191,6 +192,13 @@ class TestLaplace:
         np.testing.assert_allclose(lap.factor @ lap.factor.T, lap.covariance,
                                    atol=1e-12)
 
+    def test_factor_is_the_cholesky_factor_of_the_covariance(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        lap = LaplaceApprox(mode=np.zeros(2), covariance=cov)
+        np.testing.assert_array_equal(lap.factor, np.linalg.cholesky(cov))
+        with pytest.raises(ValueError):             # numpy's LinAlgError
+            LaplaceApprox(mode=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
 
 class TestProjection:
     def test_identical_rows_identical_embeddings(self, rng):
@@ -273,6 +281,10 @@ class TestValidation:
         data = RegressionData(rng.normal(size=(3, 1)), np.array([1.0, -2.0, 0.0]))
         with pytest.raises(ValueError, match="counts"):
             laplace("poisson", data)
+
+    def test_features_must_be_1d_or_2d(self):
+        with pytest.raises(ValueError, match=r"1-D or 2-D array, not shape \(3, 2, 2\)"):
+            RegressionData(np.ones((3, 2, 2)), [1.0, -1.0, 1.0])
 
     def test_each_model_takes_its_own_data(self, rng):
         regression = RegressionData(rng.normal(size=(3, 1)), np.array([1.0, -1.0, 1.0]))

@@ -4,7 +4,8 @@ GIGA and FW pick each point from projections U @ x of their iterate that a
 ``hilbert.Projections`` carrier moves with cached columns U @ ell_n instead
 of recomputing them. These tests check the picks against reference loops
 that recompute every product from scratch, that the column cache stays
-within its cap, and that no step does more than one N x d product. GIGA
+within its cap, and that a move computes a missing column whenever the
+cache has room, also in a step that recomputed the projections. GIGA
 scores in the carrier's buffers: its scores and picks are checked bit for
 bit against the allocating expression they replace, on both sides of the
 bound below which a row is masked and with winners above 1, and a step
@@ -139,24 +140,19 @@ def counted(problem):
 
 
 class RecordingProjections(Projections):
-    """Projections that record the largest number of cached columns and, on
-    a counted problem, the most N x d products of one step (a step ends with
-    ``move``). ``instances`` lists every carrier made."""
+    """Projections that record the largest number of cached columns.
+    ``instances`` lists every carrier made."""
 
     instances: list = []
 
     def __init__(self, problem, zero=True):
         super().__init__(problem, zero)
-        self.unit = problem.unit_vectors
-        self.peak = self.most_products = 0
+        self.peak = 0
         self.instances.append(self)
 
     def move(self, n, a, b):
         super().move(n, a, b)
         self.peak = max(self.peak, len(self))
-        if isinstance(self.unit, CountingMatrix):
-            self.most_products = max(self.most_products, self.unit.products)
-            self.unit.products = 0
 
 
 @pytest.fixture
@@ -195,20 +191,6 @@ def test_fw_picks_match_fresh_product_scan(rng, carriers):
     assert full >= 12
 
 
-@pytest.mark.parametrize("construct", [giga.run, baselines.fw_coreset],
-                         ids=["giga", "fw"])
-def test_no_step_does_more_than_one_product(rng, carriers, construct):
-    # the 24 tall problems fill their caches before the first resync; the
-    # last one has more dimensions than that, so it resyncs while filling
-    problems = [tall_problem(rng) for _ in range(24)]
-    problems.append(build_problem(rng.normal(size=(8 * RENORM_INTERVAL, 2 * RENORM_INTERVAL))))
-    for p in map(counted, problems):
-        construct(p, STEPS)
-        (scan,) = carriers
-        assert scan.most_products == 1 and p.unit_vectors.products <= 1
-        carriers.clear()
-
-
 def test_cache_holds_at_most_dimension_columns():
     p = counted(build_problem(np.random.default_rng(0).normal(size=(40, 3))))
     U = p.unit_vectors
@@ -242,16 +224,17 @@ def test_carrier_resyncs_itself_every_renorm_interval_moves():
     assert len(scan) == p.n
 
 
-def test_step_with_a_projection_computes_no_column():
+def test_step_with_a_projection_also_computes_its_column():
     p = counted(build_problem(np.random.default_rng(1).normal(size=(20, 5))))
     U = p.unit_vectors
     scan = Projections(p, zero=False)
     x = U[3]
     np.testing.assert_array_equal(scan.of(x), U.rows @ x)
-    scan.move(0, 0.0, 1.0)                         # one product per step
-    assert len(scan) == 0 and U.products == 1
-    scan.move(0, 0.0, 1.0)                         # the next step may add it
+    scan.move(0, 0.5, 0.5)                         # the cache has room
     assert len(scan) == 1 and U.products == 2
+    x = 0.5 * x + 0.5 * U[0]
+    np.testing.assert_allclose(scan.of(x), U.rows @ x, rtol=0, atol=1e-14)
+    assert U.products == 2                         # carried, not recomputed
 
 
 def test_hand_built_state_away_from_zero_recomputes_projections():
