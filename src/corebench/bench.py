@@ -7,8 +7,9 @@ Experiments (``EXPERIMENTS`` holds their desk-scale default sizes):
 * ``synth-vectors`` -- i.i.d. standard normal vectors.
 * ``ortho``         -- axis-aligned vectors L_n = (1/N) e_n, the
   construction where simplex-constrained methods have error sqrt(N/M - 1).
-* ``regress``       -- logistic/Poisson regression with a Laplace fit and
-  random-feature projection; errors are measured in the projected space.
+* ``regress``       -- logistic/Poisson regression with a Laplace fit and a
+  random-feature projection of ``default_sample_count(D + 1)`` samples;
+  errors are measured in the projected space.
 
 Budgets are swept over a log-spaced grid {1, ..., m_max}. Randomness is
 split into named PCG64 streams: trial t of a run with root seed s uses
@@ -76,13 +77,11 @@ class ExperimentSpec:
     input_path: str | None = None
     label_col: str = "y"
     standardize: bool = False
-    proj_samples: int | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        optional = () if self.proj_samples is None else ("proj_samples",)
-        for name in ("n", "m_max", "trials", "seed", "dim", *optional):
+        for name in ("n", "m_max", "trials", "seed", "dim"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):    # numpy ints are Integral
                 raise ValueError(f"{name} must be an integer, not {value!r}")
@@ -98,8 +97,6 @@ class ExperimentSpec:
             raise ValueError("dim must be >= 1 for synth-vectors")
         if self.model not in REGRESSION_MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.proj_samples is not None and self.proj_samples < 1:
-            raise ValueError("proj_samples must be >= 1")
         if not self.algorithms:
             raise ValueError(f"no algorithms selected; choose from {','.join(ALGORITHMS)}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -235,9 +232,7 @@ def _trial_problems(spec: ExperimentSpec):
                 lap = laplace(spec.model, data)
         except LaplaceNotConverged as exc:
             raise DataError(f"Laplace fit failed: {exc}") from exc
-        samples = spec.proj_samples
-        if samples is None:
-            samples = default_sample_count(data.d + 1)
+        samples = default_sample_count(data.d + 1)
 
         def projected(trial):
             seed = _stream_seed(spec.seed, trial, _STREAM_PROJ)

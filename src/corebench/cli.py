@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                                                f"(default {ExperimentSpec.label_col})")
             p.add_argument("--standardize", action="store_true",
                            help="standardize features from --input")
-            p.add_argument("--proj-samples", type=int,
-                           help="posterior gradient samples (default: ~500/(D+1))")
         p.set_defaults(**sizes, command=p)
     return parser
 

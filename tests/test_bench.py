@@ -94,8 +94,8 @@ class TestRowsWellFormed:
 
     @pytest.mark.parametrize("argv", [
         ["synth-vectors", "--n", "40", "--dim", "3"],
-        ["regress", "--model", "logistic", "--n", "40", "--proj-samples", "3"],
-        ["regress", "--model", "poisson", "--n", "40", "--proj-samples", "3"],
+        ["regress", "--model", "logistic", "--n", "40"],
+        ["regress", "--model", "poisson", "--n", "40"],
     ], ids=["synth-vectors", "regress-logistic", "regress-poisson"])
     def test_synthetic_run_loads_no_scipy(self, argv, tmp_path):
         # numpy is the only runtime dependency; a fresh process shows what
@@ -163,8 +163,7 @@ class TestOrtho:
 class TestRegress:
     def test_synthetic_logistic_rows(self):
         rows = run_experiment(spec(experiment="regress", n=120, m_max=20,
-                                   trials=2, algorithms=("giga", "fw"),
-                                   proj_samples=30))
+                                   trials=2, algorithms=("giga", "fw")))
         assert rows
         for r in rows:
             assert np.isfinite(r.rel_error)
@@ -180,7 +179,7 @@ class TestRegress:
 
     def test_poisson_deterministic_given_seed(self):
         s = spec(experiment="regress", n=100, m_max=10, trials=2,
-                 algorithms=("giga", "is"), model="poisson", proj_samples=20)
+                 algorithms=("giga", "is"), model="poisson")
         a = run_experiment(s)
         b = run_experiment(s)
         assert [(r.rel_error, r.size) for r in a] == [(r.rel_error, r.size) for r in b]
@@ -188,7 +187,7 @@ class TestRegress:
     def test_ordering_at_moderate_scale(self):
         rows = run_experiment(spec(experiment="regress", n=500, m_max=100,
                                    trials=10, algorithms=("giga", "fw", "rnd"),
-                                   proj_samples=50, seed=3))
+                                   seed=3))
         med = {alg: np.median([r.rel_error for r in rows
                                if r.algorithm == alg and r.M == 100])
                for alg in ("giga", "fw", "rnd")}
@@ -371,7 +370,7 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 50.7), ("m_max", 2.5), ("trials", 1.5), ("seed", 0.5), ("dim", 3.0),
-        ("proj_samples", 2.5), ("n", None),
+        ("n", None),
     ])
     def test_sizes_must_be_integers(self, field, value):
         # a fractional m_max would run the budgets of log_grid(int part)
@@ -405,7 +404,7 @@ class TestCli:
     def test_data_error_is_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         code = main(["regress", "--input", str(missing), "--trials", "1",
-                     "--m-max", "2", "--proj-samples", "5"])
+                     "--m-max", "2"])
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
@@ -471,7 +470,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["synth-vectors", "--n", "1000000000000", "--dim", "50"],
         ["ortho", "--n", "10000000"],
-        ["regress", "--n", "100", "--proj-samples", "100000000000000"],
+        ["regress", "--n", "100000000000000"],
     ], ids=["synth-vectors", "ortho", "regress"])
     def test_input_too_large_to_allocate_is_one_line_error(self, argv, tmp_path):
         # each first array needs over 128 TiB, more address space than a
@@ -531,8 +530,6 @@ class TestCli:
         assert err.startswith("corebench: data error: Laplace fit failed")
 
     @pytest.mark.parametrize("argv", [
-        ["regress", "--n", "30", "--proj-samples", "0"],
-        ["regress", "--n", "30", "--proj-samples", "-2"],
         ["synth-vectors", "--n", "30", "--dim", "0"],
         ["synth-vectors", "--n", "30", "--dim", "-1"],
         ["ortho", "--n", "0"],
@@ -548,7 +545,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["ortho", "--n", "8"],
-        ["regress", "--n", "30", "--proj-samples", "2"],
+        ["regress", "--n", "30"],
         ["synth-gauss", "--dim", "2", "--trials", "3"],
     ])
     def test_dim_ignored_where_unused(self, argv, tmp_path):
@@ -568,7 +565,7 @@ class TestCli:
         out = tmp_path / "rows.csv"
         code = main(["regress", "--input", str(data_path), "--label-col", "y",
                      "--standardize", "--trials", "2", "--m-max", "8",
-                     "--proj-samples", "10", "--algs", "giga,rnd",
+                     "--algs", "giga,rnd",
                      "--out", str(out)])
         assert code == 0
         parsed = list(csv.reader(io.StringIO(out.read_text())))

@@ -34,7 +34,7 @@ def csv_bytes(draw) -> bytes:
     return text.encode(draw(st.sampled_from(["utf-8", "utf-16"])))
 
 
-SIZES = {"--n": 40, "--m-max": 8, "--trials": 2, "--dim": 5, "--proj-samples": 5}
+SIZES = {"--n": 40, "--m-max": 8, "--trials": 2, "--dim": 5}
 
 
 @st.composite
@@ -62,8 +62,7 @@ def cli_runs(draw):
         argv += ["--out", out]
     data = None
     if experiment == "regress":
-        argv += ["--model", draw(st.sampled_from(["logistic", "poisson"])),
-                 "--proj-samples", size("--proj-samples")]
+        argv += ["--model", draw(st.sampled_from(["logistic", "poisson"]))]
         if draw(st.booleans()):
             argv += ["--standardize"]
         if draw(st.booleans()):
