@@ -20,7 +20,8 @@ after another, and rows are emitted in (trial, algorithm, M) order.
 
 ``cpu_seconds`` is the CPU time of the constructing thread
 (``time.thread_time``), with BLAS helper threads excluded: GIGA and FW
-report it for the run up to each budget, IS and RND for their one sweep.
+report it for the run up to each budget, leaving out the snapshots of the
+weights at earlier budgets, and IS and RND for their one sweep.
 """
 
 from __future__ import annotations

@@ -35,6 +35,19 @@ def zero_tol(dim: int) -> float:
     return ZERO_TOL_COEFF * math.sqrt(dim)
 
 
+def _as_float64(values, what: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a C-ordered float64 array, a fresh one with ``copy``.
+    Raises ValueError ("<what>: ...") on complex entries, whose imaginary
+    part the cast would drop, and on str or bytes entries, which it would
+    parse as numbers."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise ValueError(f"{what}: complex entries")
+    if values.dtype.kind in "SU":
+        raise ValueError(f"{what}: non-numeric entries")
+    return values.astype(np.float64, order="C", copy=copy)
+
+
 @dataclass(eq=False)
 class WeightVector:
     """Sparse nonnegative weights over the N rows of a problem: (index,
@@ -53,7 +66,7 @@ class WeightVector:
         if indices.size and not np.issubdtype(indices.dtype, np.integer):
             raise ValueError(f"indices must be integers, not {indices.dtype}")
         self.indices = indices.astype(np.int64, copy=False)
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = _as_float64(self.values, "invalid weight")
         if self.indices.shape != self.values.shape or self.indices.ndim != 1:
             raise ValueError("indices and values must be equal-length 1-D arrays")
         if np.unique(self.indices).size != self.indices.size:
@@ -213,8 +226,9 @@ class Step:
 class Run:
     """What a construction run records: one ``Step`` per completed step,
     the cumulative CPU seconds of the calling thread after each (BLAS
-    helper threads are not counted), why it stopped early (None when the
-    whole budget ran) and the weights at each checkpoint."""
+    helper threads and checkpoint snapshots are not counted), why it
+    stopped early (None when the whole budget ran) and the weights at each
+    checkpoint."""
 
     traces: list[Step] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
@@ -235,7 +249,8 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
     of the current iterate. M and each checkpoint are integral values of at
     least 1. Returns ``(final, run)``, where ``run.snapshots`` maps each
     checkpoint to the weights after that many steps (checkpoints past an
-    early stop get the final weights).
+    early stop get the final weights). The clock of ``run.times`` stops
+    while a checkpoint's snapshot is taken.
     """
     if M < 1 or M % 1:
         raise ValueError("iteration budget M must be >= 1 and integral")
@@ -253,7 +268,9 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
         run.times.append(time.thread_time() - t_start)
         run.traces.append(record)
         if t in cps:
+            t_snapshot = time.thread_time()
             run.snapshots[t] = snapshot()
+            t_start += time.thread_time() - t_snapshot
     done = len(run.times)
     final = run.snapshots[done] if done in run.snapshots else snapshot()
     for m in cps:
@@ -276,12 +293,7 @@ def build_problem(vectors) -> CoresetProblem:
     That copy, or its kept rows, divided in place by the row norms (taken
     in blocks of rows), is the problem's one N x d array ``unit_vectors``.
     """
-    kind = np.asarray(vectors).dtype.kind
-    if kind == "c":                         # the cast would drop the imaginary part
-        raise ValueError("invalid vector: complex entries")
-    if kind in "SU":                        # the cast would parse the strings
-        raise ValueError("invalid vector: non-numeric entries")
-    return _build_in_place(np.array(vectors, dtype=np.float64, order="C"))
+    return _build_in_place(_as_float64(vectors, "invalid vector", copy=True))
 
 
 def _build_in_place(V: np.ndarray) -> CoresetProblem:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CoresetProblem, WeightVector, _build_in_place, build_problem
+from .hilbert import CoresetProblem, WeightVector, _as_float64, _build_in_place, build_problem
 
 REGRESSION_MODELS = ("logistic", "poisson")
 MODELS = ("gaussian", *REGRESSION_MODELS)
@@ -52,7 +52,7 @@ class GaussianMeanData:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64).ravel())
+        object.__setattr__(self, "y", _as_float64(self.y, "invalid observation").ravel())
         if self.y.size < 1:
             raise ValueError("need at least one observation")
         if not np.all(np.isfinite(self.y)):
@@ -71,12 +71,12 @@ class RegressionData:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = _as_float64(self.x, "invalid regression data")
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2:
             raise ValueError(f"features must form a 1-D or 2-D array, not shape {x.shape}")
-        y = np.asarray(self.y, dtype=np.float64).ravel()
+        y = _as_float64(self.y, "invalid regression data").ravel()
         if x.shape[0] != y.size:
             raise ValueError("feature rows and targets disagree in length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

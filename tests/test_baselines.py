@@ -231,6 +231,12 @@ class TestSweep:
                 sampling_sweep(p, grid, 0, method)
         assert list(sampling_sweep(p, np.array([5, 2]), 0, method)) == [2, 5]
 
+    def test_unknown_method_rejected(self):
+        p = build_problem([(1.0, 0.0), (0.0, 1.0)])
+        for method in ("FW", "is", "giga"):
+            with pytest.raises(ValueError, match="supports IS and RND only"):
+                sampling_sweep(p, [1], 0, method)
+
 
 def every_method(p):
     """(indices, values, rel_error) of GIGA, FW, IS and RND at budgets 1, 2, 5."""

@@ -27,7 +27,7 @@ from corebench.bench import (
 )
 from corebench import cli
 from corebench.cli import build_parser, main, parse
-from corebench.hilbert import WeightVector, relative_error
+from corebench.hilbert import WeightVector, build_problem, relative_error
 from corebench.models import REGRESSION_MODELS, laplace, project
 
 
@@ -111,6 +111,13 @@ class TestRowsWellFormed:
         assert out.read_text().startswith(",".join(CSV_COLUMNS))
         assert done.stdout.strip() == "False"
 
+    def test_run_with_no_step_reports_no_cpu_time(self):
+        # a trivial problem (L = 0) stops GIGA and FW before their first step
+        s = spec(algorithms=("giga", "fw"))
+        rows = _construction_rows(s, 0, [1, 3], build_problem([(1.0, 0.0), (-1.0, 0.0)]))
+        assert [(r.algorithm, r.M, r.size, r.cpu_seconds) for r in rows] == \
+            [("giga", 1, 0, 0.0), ("giga", 3, 0, 0.0), ("fw", 1, 0, 0.0), ("fw", 3, 0, 0.0)]
+
     def test_rows_sorted_by_trial_algorithm_m(self):
         rows = run_experiment(spec())
         keys = [(r.trial, r.algorithm, r.M) for r in rows]
@@ -176,6 +183,10 @@ class TestRegress:
         problem = project("logistic", data, lap, 40, seed=0)
         w = WeightVector(np.arange(problem.n), np.ones(problem.n))
         assert relative_error(problem, w) <= 1e-6
+
+    def test_synthetic_data_only_for_regression_models(self):
+        with pytest.raises(ValueError, match="no synthetic generator for model 'gaussian'"):
+            synth_regression_data("gaussian", 5, np.random.default_rng(0))
 
     def test_poisson_deterministic_given_seed(self):
         s = spec(experiment="regress", n=100, m_max=10, trials=2,
@@ -264,6 +275,18 @@ class TestLoadCsv:
         data = load_csv(str(path), "y", "logistic", standardize=True)
         np.testing.assert_allclose(data.x.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(data.x.std(axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("text, message", [
+        ("y\n1\n0\n", "no feature columns besides the label"),
+        ("x,y\n\n \n", "no data rows"),
+        ("x,y\n1.0,2\n2.0,1\n", r"logistic labels must be coded \{0,1\} or \{-1,1\}, "
+                                 r"got \[1.0, 2.0\]"),
+    ], ids=["no-features", "no-rows", "logistic-labels"])
+    def test_schema_error(self, text, message, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=rf"d\.csv: {message}"):
+            load_csv(str(path), "y", "logistic")
 
     def test_bad_poisson_counts(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -358,6 +381,11 @@ class TestCli:
             assert dests <= fields, name
             assert ("dim" in dests) == name.startswith("synth-"), name
             assert parse([name]) == (ExperimentSpec(experiment=name, seed=0, **sizes), None)
+
+    def test_unknown_experiment_rejected(self):
+        # the parser offers only known subcommands; a direct caller may not
+        with pytest.raises(ValueError, match="unknown experiment 'bogus'"):
+            spec(experiment="bogus")
 
     def test_models_are_the_regression_models(self):
         # the parser offers the list the spec checks

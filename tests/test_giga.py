@@ -167,6 +167,12 @@ class TestUpdate:
         assert state.alignment == pytest.approx(alignment)
         assert state.t == 2
 
+    def test_step_size_outside_unit_interval_rejected(self):
+        p = build_problem(TWO_ORTH)
+        for gamma in (-0.25, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                update(p, initial_state(p), 0, gamma)
+
     def test_collapsed_iterate_guard(self):
         p = build_problem([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])
         state = GigaState(t=1, weights=np.array([1.0, 0.0, 0.0]),

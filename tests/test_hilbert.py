@@ -66,7 +66,8 @@ class TestBuildProblem:
 
     def test_complex_rejected(self):
         # a cast to float64 would keep only the real part
-        for vectors in (np.array([[1 + 2j, 0.5]]), [[np.complex128(1.0), 0.5]]):
+        for vectors in (np.array([[1 + 2j, 0.5]]), [[np.complex128(1.0), 0.5]],
+                        np.array([1 + 2j]), [1 + 2j]):
             with pytest.raises(ValueError, match="complex entries"):
                 build_problem(vectors)
 
@@ -305,6 +306,20 @@ class TestIterate:
         _, run = iterate(step, lambda: "w", 1)
         assert run.times[0] < 0.05
 
+    def test_times_leave_out_snapshots(self):
+        # a checkpoint's weights are output, not construction: the clock
+        # stops while they are taken, so no budget's time counts the
+        # snapshots of earlier ones
+        def burn():
+            end = time.thread_time() + 0.02
+            while time.thread_time() < end:
+                pass
+            return "w"
+
+        _, run = iterate(lambda t: Step(t, 1.0, 0.5), burn, 2, checkpoints=[1])
+        assert run.snapshots == {1: "w"}
+        assert run.times[1] - run.times[0] < 0.005
+
     @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
     def test_trivial_problem_takes_no_step(self, construct):
         p = build_problem([(1.0, 0.0), (-1.0, 0.0)])
@@ -339,6 +354,25 @@ class TestWeightVector:
             WeightVector.from_dense(np.array([1.0, np.inf]))
         with pytest.raises(ValueError, match="finite"):
             WeightVector.from_dense(np.array([np.nan, 1.0]))
+
+    def test_rejects_unequal_or_not_one_dimensional(self):
+        for indices, values in (([0, 1], [1.0]), ([[0, 1]], [[1.0, 2.0]])):
+            with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+                WeightVector(np.array(indices), np.array(values))
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="negative index"):
+            WeightVector(np.array([0, -1]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("values, message", [
+        ([["1", "2"]], "non-numeric entries"), (np.array([b"1"]), "non-numeric entries"),
+        (np.array([1 + 2j]), "complex entries"), ([1 + 2j], "complex entries"),
+    ], ids=["str", "bytes", "complex-array", "complex-list"])
+    def test_rejects_string_and_complex_values(self, values, message):
+        # a cast to float64 would parse strings, keep only the real part of a
+        # complex array and raise TypeError on a list of complex numbers
+        with pytest.raises(ValueError, match=f"^invalid weight: {message}$"):
+            WeightVector(np.array([0]), values)
 
     @pytest.mark.parametrize("indices", [[1.7, 0.2], [1.0, 0.0], [True, False]],
                              ids=["fractional", "integral float", "bool"])

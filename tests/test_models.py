@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from corebench import models
 from corebench.bench import synth_regression_data
 from corebench.hilbert import WeightVector, build_problem
 from corebench.models import (
+    LAPLACE_GRAD_TOL,
     REGRESSION_MODELS,
     GaussianMeanData,
     LaplaceApprox,
@@ -198,6 +200,43 @@ class TestLaplace:
         np.testing.assert_array_equal(lap.factor, np.linalg.cholesky(cov))
         with pytest.raises(ValueError):             # numpy's LinAlgError
             LaplaceApprox(mode=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="covariance must be symmetric"):
+            LaplaceApprox(mode=np.zeros(2), covariance=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    # No tested input rejects a full Newton step (the log posterior is
+    # concave), so these two make the patched log-likelihood reject steps.
+    def test_rejected_full_step_is_halved(self, rng, monkeypatch):
+        data = synth_regression_data("logistic", 50, rng)
+        want = laplace("logistic", data)
+        thetas = []
+
+        def first_step_rejected(model, Z, y, theta):
+            thetas.append(theta)
+            return -np.inf if len(thetas) == 2 else log_likelihood(model, Z, y, theta)
+
+        monkeypatch.setattr(models, "log_likelihood", first_step_rejected)
+        got = laplace("logistic", data).mode
+        # from theta = 0, the second candidate is half of the first
+        np.testing.assert_array_equal(thetas[2], 0.5 * thetas[1])
+        # both fits stop within LAPLACE_GRAD_TOL of a zero gradient, so each
+        # mode is within ||covariance|| times that of the exact one
+        tol = 2 * LAPLACE_GRAD_TOL * np.linalg.norm(want.covariance, 2)
+        np.testing.assert_allclose(got, want.mode, rtol=0, atol=tol)
+
+    def test_no_acceptable_step_ends_the_fit(self, rng, monkeypatch):
+        data = synth_regression_data("logistic", 50, rng)
+        thetas = []
+
+        def every_step_rejected(model, Z, y, theta):
+            thetas.append(theta)
+            return log_likelihood(model, Z, y, theta) if len(thetas) == 1 else -np.inf
+
+        monkeypatch.setattr(models, "log_likelihood", every_step_rejected)
+        with pytest.raises(LaplaceNotConverged) as err:
+            laplace("logistic", data)
+        np.testing.assert_array_equal(err.value.last_iterate, np.zeros(3))
+        # the start, then the steps 1, 1/2, ..., 2^-39 of the first iteration only
+        assert len(thetas) == 1 + 40
 
 
 class TestProjection:
@@ -281,6 +320,36 @@ class TestValidation:
         data = RegressionData(rng.normal(size=(3, 1)), np.array([1.0, -2.0, 0.0]))
         with pytest.raises(ValueError, match="counts"):
             laplace("poisson", data)
+
+    @pytest.mark.parametrize("make", [
+        GaussianMeanData,
+        lambda v: RegressionData(v, [1.0]),
+        lambda v: RegressionData([[1.0]], v),
+    ], ids=["gaussian-y", "regression-x", "regression-y"])
+    @pytest.mark.parametrize("values, message", [
+        ([["1", "2"]], "non-numeric entries"), (np.array([b"1"]), "non-numeric entries"),
+        (np.array([1 + 2j]), "complex entries"), ([1 + 2j], "complex entries"),
+    ], ids=["str", "bytes", "complex-array", "complex-list"])
+    def test_string_and_complex_data_rejected(self, make, values, message):
+        # a cast to float64 would parse strings, keep only the real part of a
+        # complex array and raise TypeError on a list of complex numbers
+        with pytest.raises(ValueError, match=f"^invalid (observation|regression data): "
+                                             f"{message}$"):
+            make(values)
+
+    def test_observations_nonempty_and_finite(self):
+        with pytest.raises(ValueError, match="at least one observation"):
+            GaussianMeanData([])
+        with pytest.raises(ValueError, match="non-finite observation"):
+            GaussianMeanData([1.0, np.nan])
+
+    def test_one_dimensional_features_are_one_column(self):
+        data = RegressionData([0.5, -1.0, 2.0], [1.0, -1.0, 1.0])
+        assert data.x.shape == (3, 1) and data.d == 1
+
+    def test_rows_and_targets_agree_in_length(self):
+        with pytest.raises(ValueError, match="disagree in length"):
+            RegressionData(np.ones((3, 2)), [1.0, -1.0])
 
     def test_features_must_be_1d_or_2d(self):
         with pytest.raises(ValueError, match=r"1-D or 2-D array, not shape \(3, 2, 2\)"):
