@@ -10,6 +10,14 @@ from corebench.hilbert import build_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Inputs that a cast to float64 would get wrong, with the error each must
+# raise instead: the cast parses str and bytes, keeps only the real part of
+# a complex array and raises TypeError on a list of complex numbers.
+NOT_REAL = pytest.mark.parametrize("values, message", [
+    ([["1", "2"]], "non-numeric entries"), (np.array([b"1"]), "non-numeric entries"),
+    (np.array([1 + 2j]), "complex entries"), ([1 + 2j], "complex entries"),
+], ids=["str", "bytes", "complex-array", "complex-list"])
+
 
 def load(relative: str):
     """Import a repository script (not part of the package) by its path."""

