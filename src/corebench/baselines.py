@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hilbert import (
+    EPS,
     ZERO_TOL_COEFF,
     CoresetProblem,
     Projections,
@@ -70,7 +71,7 @@ def fw_coreset(problem: CoresetProblem, M: int, *,
     scan = Projections(problem)                      # of U @ L(w_t)
     scores = scan.buffers[0]
     floor_err = FLOOR_MULTIPLE * problem.floor
-    floor_resid = FLOOR_MULTIPLE * np.finfo(np.float64).eps * sigma
+    floor_resid = FLOOR_MULTIPLE * EPS * sigma
     w = np.zeros(problem.n)
     Lw = None
 
@@ -136,5 +137,9 @@ def sampling_sweep(problem: CoresetProblem, grid, seed,
     else:
         draws = rng.integers(0, problem.n, size=grid[-1])
         per_draw = np.full(problem.n, float(problem.n))
-    return {m: WeightVector.from_dense(np.bincount(draws[:m], minlength=problem.n)
-                                       * per_draw / m) for m in grid}
+
+    def weights(m):     # counts > 0 and per_draw >= 1, so each value is positive and finite
+        counts = np.bincount(draws[:m], minlength=problem.n)
+        idx = counts.nonzero()[0]
+        return WeightVector._unchecked(idx, counts[idx] * per_draw[idx] / m)
+    return {m: weights(m) for m in grid}

@@ -31,6 +31,7 @@ import io
 import numbers
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,7 @@ class ExperimentSpec:
             raise ValueError(f"duplicate algorithms: {','.join(self.algorithms)}")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     trial: int
     algorithm: str
     M: int
@@ -145,32 +145,19 @@ def _construction_rows(spec: ExperimentSpec, trial: int, grid: list[int],
                        problem: CoresetProblem, extra_fn=None) -> list[ResultRow]:
     """Run every requested algorithm over the budget grid and collect rows."""
     rows = []
-
-    def emit(alg, m, weights, cpu):
-        extra = extra_fn(weights) if extra_fn is not None else None
-        rows.append(ResultRow(
-            trial=trial,
-            algorithm=alg,
-            M=m,
-            rel_error=relative_error(problem, weights),
-            size=weights.nnz,
-            cpu_seconds=cpu,
-            extra=extra,
-        ))
-
     for alg in spec.algorithms:
         if alg in ("giga", "fw"):
             construct = giga.run if alg == "giga" else baselines.fw_coreset
             _, diag = construct(problem, grid[-1], checkpoints=grid)
-            for m in grid:
-                emit(alg, m, diag.snapshots[m], _checkpoint_time(diag.times, m))
+            results = [(m, diag.snapshots[m], _checkpoint_time(diag.times, m)) for m in grid]
         else:
             seed = _stream_seed(spec.seed, trial, _STREAM_IS if alg == "is" else _STREAM_RND)
             t0 = time.thread_time()
             sweep = baselines.sampling_sweep(problem, grid, seed, alg.upper())
             cpu = time.thread_time() - t0
-            for m in grid:
-                emit(alg, m, sweep[m], cpu)
+            results = [(m, sweep[m], cpu) for m in grid]
+        rows += [ResultRow(trial, alg, m, relative_error(problem, w), w.nnz, cpu,
+                           None if extra_fn is None else extra_fn(w)) for m, w, cpu in results]
     return rows
 
 
@@ -267,11 +254,8 @@ def write_csv(rows: list[ResultRow], out) -> None:
     """Write the rows as CSV to the open text file ``out``."""
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([
-            r.trial, r.algorithm, r.M, repr(r.rel_error), r.size,
-            repr(r.cpu_seconds), "" if r.extra is None else repr(r.extra),
-        ])
+    writer.writerows((r.trial, r.algorithm, r.M, repr(r.rel_error), r.size, repr(r.cpu_seconds),
+                      "" if r.extra is None else repr(r.extra)) for r in rows)
 
 
 def load_csv(path: str, label_column: str, model: str,

@@ -196,7 +196,8 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     """
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"step size {gamma} outside [0, 1]")
-    direction = (1.0 - gamma) * state.ell_w + gamma * problem.unit_vectors[n_t]
+    direction = (1.0 - gamma) * state.ell_w
+    direction += gamma * problem.unit_vectors[n_t]
     nrm = math.sqrt(direction @ direction)
     if nrm <= zero_tol(problem.dimension):
         raise RuntimeError("collapsed iterate")
@@ -210,7 +211,8 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     state.scan.move(n_t, a, b)
 
     state.alignment = float(state.ell_w @ problem.unit_target)
-    resid = problem.unit_target - state.alignment * state.ell_w
+    resid = state.alignment * state.ell_w
+    np.subtract(problem.unit_target, resid, out=resid)
     state.J = float(resid @ resid)
 
 

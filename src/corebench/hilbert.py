@@ -20,6 +20,7 @@ within ``baselines.FLOOR_MULTIPLE`` floors of it.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ import numpy as np
 ZERO_TOL_COEFF = 1e-12
 RENORM_INTERVAL = 64       # Projections moves between resyncs
 WEIGHTED_SUM_BLOCK = 2 ** 16   # floats gathered at once by weighted_sum: 512 KB
+EPS = sys.float_info.epsilon   # float64's machine epsilon, the unit of the floor
 
 
 def zero_tol(dim: int) -> float:
@@ -89,18 +91,19 @@ class WeightVector:
         return cls._unchecked(np.empty(0, dtype=np.int64), np.empty(0))
 
     @classmethod
-    def from_dense(cls, w: np.ndarray) -> "WeightVector":
+    def from_dense(cls, w) -> "WeightVector":
         """The positive entries of a dense weight array, in index order.
-        Every entry must be finite: NaN would otherwise drop out unseen."""
-        w = np.asarray(w, dtype=np.float64)
-        if not np.all(np.isfinite(w)):
+        Every entry must be finite: NaN would otherwise drop out unseen.
+        Complex and string entries raise, as in the constructor."""
+        w = _as_float64(w, "invalid weight").ravel()
+        if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        idx = np.flatnonzero(w > 0)
+        idx = (w > 0).nonzero()[0]
         return cls._unchecked(idx, w[idx])
 
     @property
     def nnz(self) -> int:
-        return int(self.indices.size)
+        return len(self.indices)
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -132,15 +135,15 @@ class CoresetProblem:
     def __post_init__(self):
         for arr in (self.norms, self.target, self.unit_vectors,
                     self.unit_target, self.unit_scores, self.kept_indices):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return int(self.norms.shape[0])
+        return len(self.norms)
 
     @property
     def dimension(self) -> int:
-        return int(self.target.shape[0])
+        return len(self.target)
 
     def to_original(self, w: WeightVector) -> WeightVector:
         """The same weights, indexed by input row instead of problem row."""
@@ -265,12 +268,12 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
         except Stop as stop:
             run.stop_reason = stop.reason
             break
-        run.times.append(time.thread_time() - t_start)
+        now = time.thread_time()
+        run.times.append(now - t_start)
         run.traces.append(record)
         if t in cps:
-            t_snapshot = time.thread_time()
             run.snapshots[t] = snapshot()
-            t_start += time.thread_time() - t_snapshot
+            t_start += time.thread_time() - now
     done = len(run.times)
     final = run.snapshots[done] if done in run.snapshots else snapshot()
     for m in cps:
@@ -307,23 +310,27 @@ def _build_in_place(V: np.ndarray) -> CoresetProblem:
         raise ValueError(f"vectors must form a 1-D or 2-D array, not shape {V.shape}")
     if V.size == 0:
         raise ValueError("empty problem: need at least one vector with at least one entry")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("invalid vector: non-finite entry")
-
+    all_norms = np.empty(len(V))
     with np.errstate(over="ignore"):        # an overflow raises below
-        all_norms = np.concatenate([np.linalg.norm(V[i:i + 256], axis=1)  # no N x d temporary
-                                    for i in range(0, len(V), 256)])
+        for i in range(0, len(V), 256):     # no N x d temporary; np.linalg.norm's arithmetic
+            block = V[i:i + 256]
+            np.sqrt(np.add.reduce(block * block, axis=1), out=all_norms[i:i + 256])
         # relative to the largest row, not the floor: that is computed from the rows kept here
         tol = zero_tol(V.shape[1]) * all_norms.max()
+        if not math.isfinite(tol):          # a NaN or inf entry makes its row's norm non-finite
+            if not np.isfinite(V[~np.isfinite(all_norms)]).all():
+                raise ValueError("invalid vector: non-finite entry")
+            raise ValueError("vector norms overflow float64")
         keep = all_norms > tol
-        kept_indices = np.flatnonzero(keep)
-        U = V if keep.all() else V[keep]       # a boolean index copies
-        norms_kept = all_norms[keep]
+        kept_indices = keep.nonzero()[0]
+        # a boolean index copies
+        U, norms_kept = ((V, all_norms) if len(kept_indices) == len(V)
+                         else (V[keep], all_norms[keep]))
 
         target = U.sum(axis=0)
-        target_norm = float(np.linalg.norm(target))
+        target_norm = math.sqrt(target.dot(target))      # np.linalg.norm's arithmetic
         sigma_total = float(norms_kept.sum())
-    if not all(map(math.isfinite, (tol, target_norm, sigma_total))):
+    if not (math.isfinite(target_norm) and math.isfinite(sigma_total)):
         raise ValueError("vector norms overflow float64")
     trivial = target_norm <= tol
 
@@ -340,7 +347,7 @@ def _build_in_place(V: np.ndarray) -> CoresetProblem:
         unit_scores=U @ unit_target,
         kept_indices=kept_indices,
         trivial=trivial,
-        floor=0.0 if trivial else float(np.finfo(np.float64).eps * sigma_total / target_norm),
+        floor=0.0 if trivial else EPS * sigma_total / target_norm,
     )
 
 
@@ -351,10 +358,9 @@ def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
     rows into one d-vector, so no temporary holds more than
     ``WEIGHTED_SUM_BLOCK`` floats (or one row, when a row is longer). A
     support of one block gives the bits of the one product over its rows
-    (but a -0.0 entry reads 0.0); a longer one rounds per block.
+    (but a -0.0 entry reads 0.0); a longer one rounds per block. An index
+    past the problem's rows raises IndexError.
     """
-    if np.any(w.indices >= problem.n):
-        raise IndexError("weight index out of range for problem")
     rows = max(WEIGHTED_SUM_BLOCK // problem.dimension, 1)
     total = np.zeros(problem.dimension)
     for start in range(0, w.nnz, rows):
@@ -365,7 +371,9 @@ def weighted_sum(problem: CoresetProblem, w: WeightVector) -> np.ndarray:
 
 def relative_error(problem: CoresetProblem, w: WeightVector) -> float:
     """||L(w) - L|| / ||L|| for weights w over the problem's rows."""
-    err = float(np.linalg.norm(weighted_sum(problem, w) - problem.target))
+    resid = weighted_sum(problem, w)
+    resid -= problem.target
+    err = math.sqrt(resid.dot(resid))       # np.linalg.norm's arithmetic
     if problem.trivial:
         tol = zero_tol(problem.dimension) * problem.norms.max(initial=0.0)
         return 0.0 if err <= tol else float("inf")

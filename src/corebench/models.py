@@ -20,11 +20,12 @@ products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CoresetProblem, WeightVector, _as_float64, _build_in_place, build_problem
+from .hilbert import CoresetProblem, WeightVector, _as_float64, _build_in_place
 
 REGRESSION_MODELS = ("logistic", "poisson")
 MODELS = ("gaussian", *REGRESSION_MODELS)
@@ -55,7 +56,7 @@ class GaussianMeanData:
         object.__setattr__(self, "y", _as_float64(self.y, "invalid observation").ravel())
         if self.y.size < 1:
             raise ValueError("need at least one observation")
-        if not np.all(np.isfinite(self.y)):
+        if not np.isfinite(self.y).all():
             raise ValueError("non-finite observation")
 
     @property
@@ -197,7 +198,8 @@ def laplace(model: str, data) -> LaplaceApprox:
     Newton ascent with step halving on the log posterior until the gradient
     norm drops to LAPLACE_GRAD_TOL; the covariance is the inverse negative
     Hessian at the mode. Raises LaplaceNotConverged (with the last iterate
-    attached) if the tolerance is not reached within LAPLACE_MAX_ITER steps.
+    attached) if the tolerance is not reached within LAPLACE_MAX_ITER steps,
+    or as soon as step halving finds no acceptable step.
     """
     Z, y = _design(model, data)
     p = Z.shape[1]
@@ -218,7 +220,7 @@ def laplace(model: str, data) -> LaplaceApprox:
         return -th + log_likelihood_grad(model, Z, y, th).sum(axis=0)
 
     f = objective(theta)
-    for _ in range(LAPLACE_MAX_ITER):
+    for iteration in range(1, LAPLACE_MAX_ITER + 1):
         grad = grad_at(theta)
         if np.linalg.norm(grad) <= LAPLACE_GRAD_TOL:
             return approx_at(theta)
@@ -234,8 +236,10 @@ def laplace(model: str, data) -> LaplaceApprox:
                 theta, f = cand, max(f_cand, f)
                 break
             alpha *= 0.5
-        else:
-            break   # no acceptable step remains; gradient check decides below
+        else:       # theta is unchanged, and its gradient failed above
+            raise LaplaceNotConverged(
+                f"Newton line search found no acceptable step at iteration {iteration} "
+                f"(step halved to 2^-40)", last_iterate=theta)
     if np.linalg.norm(grad_at(theta)) <= LAPLACE_GRAD_TOL:
         return approx_at(theta)
     raise LaplaceNotConverged(
@@ -256,10 +260,10 @@ def gaussian_embed(data: GaussianMeanData) -> CoresetProblem:
                = E_post[(y_n - mu)(y_m - mu)] exactly.
     """
     n = data.n
-    mu_hat = data.y.sum() / (n + 1)
-    s_hat = np.sqrt(1.0 / (n + 1))
-    vectors = np.column_stack([data.y - mu_hat, np.full(n, s_hat)])
-    return build_problem(vectors)
+    vectors = np.empty((n, 2))      # the problem takes it over as its unit vectors
+    np.subtract(data.y, data.y.sum() / (n + 1), out=vectors[:, 0])     # y_n - mu_hat
+    vectors[:, 1] = math.sqrt(1.0 / (n + 1))                           # s_hat
+    return _build_in_place(vectors)
 
 
 def coreset_posterior_variance(data: GaussianMeanData,

@@ -3,7 +3,7 @@ import pytest
 
 from corebench.baselines import fw_coreset, sampling_sweep
 from corebench.giga import run as giga_run
-from corebench.hilbert import build_problem, relative_error, weighted_sum
+from corebench.hilbert import WeightVector, build_problem, relative_error, weighted_sum
 
 from conftest import random_problem, rows
 
@@ -221,6 +221,25 @@ class TestSweep:
             w = sample(method, p, m, seed=11)
             np.testing.assert_array_equal(sweep[m].indices, w.indices)
             np.testing.assert_allclose(sweep[m].values, w.values)
+
+    @pytest.mark.parametrize("method", ["IS", "RND"])
+    def test_weights_are_those_of_the_dense_counts(self, rng, method):
+        # the sweep weighs only the drawn rows; the dense form weighs every row
+        for _ in range(20):
+            p = random_problem(rng, max_n=40, max_dim=5)
+            grid, seed = [1, 2, 7, 30, 100], int(rng.integers(2 ** 32))
+            draws_rng = np.random.default_rng(seed)
+            if method == "IS":
+                draws = draws_rng.choice(p.n, size=grid[-1], p=p.norms / p.sigma_total)
+                per_draw = p.sigma_total / p.norms
+            else:
+                draws = draws_rng.integers(0, p.n, size=grid[-1])
+                per_draw = np.full(p.n, float(p.n))
+            for m, w in sampling_sweep(p, grid, seed, method).items():
+                dense = WeightVector.from_dense(np.bincount(draws[:m], minlength=p.n)
+                                                * per_draw / m)
+                assert w.indices.tobytes() == dense.indices.tobytes()
+                assert w.values.tobytes() == dense.values.tobytes()
 
     @pytest.mark.parametrize("method", ["IS", "RND"])
     def test_grid_budgets_are_integral_and_at_least_one(self, method):

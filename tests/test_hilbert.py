@@ -83,6 +83,29 @@ class TestBuildProblem:
         with pytest.raises(ValueError, match="invalid vector"):
             build_problem([(np.inf, 0.0)])
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ((1.0, np.nan), "invalid vector: non-finite entry"),
+        ((np.inf, 0.0), "invalid vector: non-finite entry"),
+        ((0.0, -np.inf), "invalid vector: non-finite entry"),
+        ((1e200, 1e200), "vector norms overflow float64"),
+    ], ids=["nan", "inf", "-inf", "row-norm-overflows"])
+    @pytest.mark.parametrize("row", [0, 300], ids=["first-block", "second-block"])
+    def test_bad_row_message(self, bad_row, message, row, rng):
+        # the row norms decide; the entries are read only to tell the two causes apart
+        vectors = rng.normal(size=(400, 2))
+        vectors[row] = bad_row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build_problem(vectors)
+
+    def test_non_finite_entry_outranks_overflow(self):
+        with pytest.raises(ValueError, match="^invalid vector: non-finite entry$"):
+            build_problem([(1e200, 1e200), (np.nan, 0.0)])
+        # finite row norms whose sum overflows
+        with pytest.raises(ValueError, match="^vector norms overflow float64$"):
+            build_problem([(1e308, 0.0), (1e308, 0.0)])
+
     def test_all_zero_rows_is_trivial(self):
         p = build_problem([(0.0, 0.0), (0.0, 0.0)])
         assert p.trivial
@@ -186,9 +209,12 @@ class TestWeightedSum:
 
     def test_out_of_range_index(self):
         p = build_problem([(1.0, 0.0)])
-        w = WeightVector(np.array([5]), np.array([1.0]))
-        with pytest.raises(IndexError):
-            weighted_sum(p, w)
+        for index in (1, 5):
+            w = WeightVector(np.array([0, index]), np.array([1.0, 1.0]))
+            with pytest.raises(IndexError):
+                weighted_sum(p, w)
+            with pytest.raises(IndexError):
+                relative_error(p, w)
 
     @staticmethod
     def one_product(p, w):
@@ -218,6 +244,29 @@ class TestWeightedSum:
         blocked = relative_error(p, w)
         product = float(np.linalg.norm(self.one_product(p, w) - p.target)) / p.target_norm
         assert abs(blocked - product) <= max(2 * p.floor, 4 * np.spacing(product))
+
+    @pytest.mark.parametrize("shape,nnz", [((40, 2), 1), ((40, 2), 40), ((1500, 50), 1311),
+                                           ((2000, 501), 131), ((2000, 501), 1000),
+                                           ((5, 70_000), 3)])
+    def test_bits_of_the_blocked_reference(self, shape, nnz, rng):
+        # supports inside one block and across several, against a plain block loop
+        p = build_problem(rng.normal(size=shape) + 0.1)
+        w = self.support(rng, p, nnz)
+        rows = max(WEIGHTED_SUM_BLOCK // p.dimension, 1)
+        reference = np.zeros(p.dimension)
+        for start in range(0, nnz, rows):
+            part = WeightVector(w.indices[start:start + rows], w.values[start:start + rows])
+            reference += self.one_product(p, part)
+        assert weighted_sum(p, w).tobytes() == reference.tobytes()
+        error = float(np.linalg.norm(reference - p.target)) / p.target_norm
+        assert relative_error(p, w) == error
+
+    @pytest.mark.parametrize("second", [-0.0, -1e-300], ids=["-0.0", "underflows"])
+    def test_negative_zero_reads_zero(self, second):
+        p = build_problem([(1.0, second), (2.0, second)])
+        w = WeightVector(np.array([0, 1]), np.array([1e-300, 0.5e-300]))
+        total = weighted_sum(p, w)
+        assert total[1] == 0.0 and not np.signbit(total[1])
 
     def test_peak_memory_is_one_block(self, rng):
         # gathering all 1000 rows at once would take 3.9 MB
@@ -368,6 +417,11 @@ class TestWeightVector:
     def test_rejects_string_and_complex_values(self, values, message):
         with pytest.raises(ValueError, match=f"^invalid weight: {message}$"):
             WeightVector(np.array([0]), values)
+
+    @NOT_REAL
+    def test_from_dense_rejects_string_and_complex_values(self, values, message):
+        with pytest.raises(ValueError, match=f"^invalid weight: {message}$"):
+            WeightVector.from_dense(values)
 
     @pytest.mark.parametrize("indices", [[1.7, 0.2], [1.0, 0.0], [True, False]],
                              ids=["fractional", "integral float", "bool"])

@@ -232,7 +232,8 @@ class TestLaplace:
             return log_likelihood(model, Z, y, theta) if len(thetas) == 1 else -np.inf
 
         monkeypatch.setattr(models, "log_likelihood", every_step_rejected)
-        with pytest.raises(LaplaceNotConverged) as err:
+        with pytest.raises(LaplaceNotConverged,
+                           match="no acceptable step at iteration 1 ") as err:
             laplace("logistic", data)
         np.testing.assert_array_equal(err.value.last_iterate, np.zeros(3))
         # the start, then the steps 1, 1/2, ..., 2^-39 of the first iteration only
