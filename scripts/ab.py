@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """In-process A/B timing of one corebench layer between two checkouts.
 
-Usage: python3 scripts/ab.py --against DIR [--layer LAYER]
-                             [--workload NAME] [--rotations R] [--seed N]
+Usage: python3 scripts/ab.py --against DIR [--layer LAYER] [--workload NAME]
 
 Imports ``corebench`` from ``DIR/src`` (side A) and from this checkout's
 ``src/`` (side B) under two package names, so both sides run in one process.
 The package uses relative imports only, so each side runs its own modules.
 Each side builds its inputs at the shape of the workload NAME of
 ``perfbench/run.py`` (its ``WORKLOADS``, read only; default synth-gauss)
-through its own ``cli.parse`` and ``bench._trial_problems``, at seed N.
+through its own ``cli.parse`` and ``bench._trial_problems``, at seed 0.
 
 One pass calls the layer LAYER once per trial of the workload:
 
@@ -20,8 +19,8 @@ One pass calls the layer LAYER once per trial of the workload:
 * ``giga.run`` and ``fw_coreset`` -- at the workload's budget and grid;
 * ``relative_error`` -- of GIGA's final weights.
 
-After one warm-up pass per side, passes run in the order A B B A, R times
-(default 24). A rotation's ratio is B's time over A's, each the sum of
+After one warm-up pass per side, passes run in the order A B B A,
+``ROTATIONS`` (24) times. A rotation's ratio is B's time over A's, each the sum of
 its two passes. Printed: each side's median time per call, the median
 ratio, how many rotations read lower on B, and a bootstrap 95% interval
 of the median ratio. The garbage collector runs before every pass, so
@@ -54,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("run_experiment", "build_problem", "giga.run", "fw_coreset", "relative_error")
+ROTATIONS = 24
+SEED = 0
 BOOTSTRAP = 2000
 
 
@@ -67,7 +68,10 @@ def _load(path: Path, name: str, package_dir: Path | None = None):
 
 
 def import_tree(root: Path, name: str) -> dict:
-    """The modules of ``root``'s corebench, imported as package ``name``."""
+    """The modules of ``root``'s corebench, imported afresh as package
+    ``name``: modules left under that name by an earlier call are dropped."""
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
     package = Path(root).resolve() / "src" / "corebench"
     _load(package / "__init__.py", name, package)
     return {mod: importlib.import_module(f"{name}.{mod}")
@@ -78,12 +82,12 @@ def _perfbench():
     return _load(ROOT / "perfbench" / "run.py", "_ab_perfbench_run")
 
 
-def workload_argv(workload: str, seed: int) -> list[str]:
-    """The CLI arguments of a ``perfbench/run.py`` workload at ``seed``."""
+def workload_argv(workload: str) -> list[str]:
+    """The CLI arguments of a ``perfbench/run.py`` workload at ``SEED``."""
     perfbench = _perfbench()
     wl = perfbench.WORKLOADS[workload]
     return wl["argv"] + ["--trials", str(wl["trials"]), "--m-max", str(wl["m_max"]),
-                         "--algs", ",".join(perfbench.ALGORITHMS), "--seed", str(seed)]
+                         "--algs", ",".join(perfbench.ALGORITHMS), "--seed", str(SEED)]
 
 
 def prepare(side: dict, layer: str, argv: list[str], rows=None):
@@ -153,18 +157,17 @@ def timed(one_pass) -> float:
     return time.perf_counter() - t0
 
 
-def bootstrap_interval(ratios: list[float], seed: int = 0) -> tuple[float, float]:
+def bootstrap_interval(ratios: list[float]) -> tuple[float, float]:
     """95% percentile interval of the median ratio over resampled rotations."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
                      for _ in range(BOOTSTRAP))
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
 
-def compare(against: Path, layer: str = "run_experiment", workload: str = "synth-gauss",
-            rotations: int = 24, seed: int = 0) -> dict:
+def compare(against: Path, layer: str = "run_experiment", workload: str = "synth-gauss") -> dict:
     """Time ``layer`` on both trees in ABBA order; see the module docstring."""
-    argv = workload_argv(workload, seed)
+    argv = workload_argv(workload)
     sides = {"A": import_tree(against, "_ab_side_a"), "B": import_tree(ROOT, "_ab_side_b")}
     rows = problem_rows(sides["A"], argv) if layer == "build_problem" else None
     passes, hashes = {}, {}
@@ -174,13 +177,13 @@ def compare(against: Path, layer: str = "run_experiment", workload: str = "synth
         hashes[name] = digest(layer, one_pass())      # the warm-up pass
     times = {"A": [], "B": []}
     ratios = []
-    for _ in range(rotations):
+    for _ in range(ROTATIONS):
         a1, b1, b2, a2 = (timed(passes[name]) for name in "ABBA")
         times["A"] += [a1, a2]
         times["B"] += [b1, b2]
         ratios.append((b1 + b2) / (a1 + a2))
     return dict(
-        layer=layer, workload=workload, seed=seed, rotations=rotations, calls=calls,
+        layer=layer, workload=workload, calls=calls,
         per_call={name: statistics.median(t) / calls for name, t in times.items()},
         ratio=statistics.median(ratios), lower=sum(r < 1.0 for r in ratios),
         interval=bootstrap_interval(ratios), ratios=ratios,
@@ -195,18 +198,14 @@ def main(argv=None) -> int:
     parser.add_argument("--layer", choices=LAYERS, default="run_experiment")
     parser.add_argument("--workload", choices=sorted(_perfbench().WORKLOADS),
                         default="synth-gauss")
-    parser.add_argument("--rotations", type=int, default=24)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.rotations < 1:
-        parser.error("--rotations must be >= 1")
-    r = compare(args.against, args.layer, args.workload, args.rotations, args.seed)
-    print(f"layer {r['layer']}, workload {r['workload']}, seed {r['seed']}, "
-          f"{r['rotations']} ABBA rotations, {r['calls']} calls per pass")
+    r = compare(args.against, args.layer, args.workload)
+    print(f"layer {r['layer']}, workload {r['workload']}, seed {SEED}, "
+          f"{ROTATIONS} ABBA rotations, {r['calls']} calls per pass")
     for name, root in (("A", args.against.resolve()), ("B", ROOT)):
         print(f"{name} {root}: median {r['per_call'][name] * 1e6:.1f} us per call")
     low, high = r["interval"]
-    print(f"ratio B/A: median {r['ratio']:.3f}, lower in {r['lower']} of {r['rotations']} "
+    print(f"ratio B/A: median {r['ratio']:.3f}, lower in {r['lower']} of {ROTATIONS} "
           f"rotations, 95% bootstrap interval [{low:.3f}, {high:.3f}]")
     print(f"hashes: A {r['hashes']['A'][:16]}, B {r['hashes']['B'][:16]}, "
           f"{'equal' if r['equal'] else 'DIFFER'}")

@@ -31,7 +31,6 @@ import io
 import numbers
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -108,7 +107,8 @@ class ExperimentSpec:
             raise ValueError(f"duplicate algorithms: {','.join(self.algorithms)}")
 
 
-class ResultRow(NamedTuple):
+@dataclass(frozen=True)
+class ResultRow:
     trial: int
     algorithm: str
     M: int

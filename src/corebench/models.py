@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CoresetProblem, WeightVector, _as_float64, _build_in_place
+from .hilbert import CoresetProblem, WeightVector, _as_float64, _build_in_place, build_problem
 
 REGRESSION_MODELS = ("logistic", "poisson")
 MODELS = ("gaussian", *REGRESSION_MODELS)
@@ -260,10 +260,10 @@ def gaussian_embed(data: GaussianMeanData) -> CoresetProblem:
                = E_post[(y_n - mu)(y_m - mu)] exactly.
     """
     n = data.n
-    vectors = np.empty((n, 2))      # the problem takes it over as its unit vectors
+    vectors = np.empty((n, 2))
     np.subtract(data.y, data.y.sum() / (n + 1), out=vectors[:, 0])     # y_n - mu_hat
     vectors[:, 1] = math.sqrt(1.0 / (n + 1))                           # s_hat
-    return _build_in_place(vectors)
+    return build_problem(vectors)
 
 
 def coreset_posterior_variance(data: GaussianMeanData,
