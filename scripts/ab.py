@@ -17,6 +17,8 @@ One pass calls the layer LAYER once per trial of the workload:
 * ``build_problem`` -- on each trial's rows sigma_n ell_n, taken from side
   A's problem, so both sides get the same input;
 * ``giga.run`` and ``fw_coreset`` -- at the workload's budget and grid;
+* ``sampling_sweep`` -- IS, then RND, over the workload's grid, each at
+  the trial's stream seed for it (two calls per trial);
 * ``relative_error`` -- of GIGA's final weights.
 
 After one warm-up pass per side, passes run in the order A B B A,
@@ -27,10 +29,11 @@ of the median ratio. The garbage collector runs before every pass, so
 one side's garbage is not collected on the other's clock.
 
 The bits check hashes each side's warm-up output: the contract columns
-``trial,algorithm,M,rel_error,size`` for ``run_experiment``; every array
-and scalar of the problem for ``build_problem``; each ``Step`` (pick,
-step size, score, residual), the stop reason and every snapshot's indices
-and values for ``giga.run`` and ``fw_coreset``; and each value for
+``trial,algorithm,M,rel_error,size`` and ``extra`` for ``run_experiment``;
+every array and scalar of the problem for ``build_problem``; each ``Step``
+(pick, step size, score, residual), the stop reason and every snapshot's
+indices and values for ``giga.run`` and ``fw_coreset``; each budget's
+indices and values for ``sampling_sweep``; and each value for
 ``relative_error``. The exit status is 1 when the two hashes differ.
 
 It measures time only: both sides share the heap and the BLAS pool, so
@@ -52,7 +55,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("run_experiment", "build_problem", "giga.run", "fw_coreset", "relative_error")
+LAYERS = ("run_experiment", "build_problem", "giga.run", "fw_coreset", "sampling_sweep",
+          "relative_error")
 ROTATIONS = 24
 SEED = 0
 BOOTSTRAP = 2000
@@ -110,6 +114,12 @@ def prepare(side: dict, layer: str, argv: list[str], rows=None):
     if layer in ("giga.run", "fw_coreset"):
         construct = giga.run if layer == "giga.run" else side["baselines"].fw_coreset
         return (lambda: [construct(p, grid[-1], checkpoints=grid) for p in problems]), len(problems)
+    if layer == "sampling_sweep":
+        sweep = side["baselines"].sampling_sweep
+        calls = [(p, bench._stream_seed(spec.seed, trial, purpose), method)
+                 for trial, p in enumerate(problems)
+                 for purpose, method in ((bench._STREAM_IS, "IS"), (bench._STREAM_RND, "RND"))]
+        return (lambda: [sweep(p, grid, seed, method) for p, seed, method in calls]), len(calls)
     if layer == "relative_error":
         weights = [giga.run(p, grid[-1])[0] for p in problems]
         return (lambda: [hilbert.relative_error(p, w) for p, w in zip(problems, weights)]), len(problems)
@@ -134,12 +144,15 @@ def digest(layer: str, outputs) -> str:
 
     for out in outputs:
         if layer == "run_experiment":
-            put(out.trial, out.algorithm, out.M, out.rel_error, out.size)
+            put(out.trial, out.algorithm, out.M, out.rel_error, out.size, out.extra)
         elif layer == "build_problem":
             put(out.norms, out.sigma_total, out.target, out.target_norm, out.unit_vectors,
                 out.unit_target, out.unit_scores, out.kept_indices, out.trivial, out.floor)
         elif layer == "relative_error":
             put(out)
+        elif layer == "sampling_sweep":
+            for m in sorted(out):
+                put(m, out[m].indices, out[m].values)
         else:
             final, run = out
             put(final.indices, final.values, run.stop_reason)

@@ -65,49 +65,49 @@ def fw_coreset(problem: CoresetProblem, M: int, *,
     """
     U = problem.unit_vectors
     sigma = problem.sigma_total
-    scale = sigma / problem.norms        # vertex n: scale[n] * L_n = sigma * U[n]
+    norms = problem.norms                # vertex n: (sigma / norms[n]) * L_n = sigma * U[n]
     L = problem.target
-    target_scores = problem.target_norm * problem.unit_scores    # <ell_n, L>
-    scan = Projections(problem)                      # of U @ L(w_t)
-    scores = scan.buffers[0]
     floor_err = FLOOR_MULTIPLE * problem.floor
     floor_resid = FLOOR_MULTIPLE * EPS * sigma
     w = np.zeros(problem.n)
-    Lw = None
+    Lw = scan = target_scores = None
 
     def step(t):
-        nonlocal w, Lw
+        nonlocal w, Lw, scan, target_scores
         if t == 1:
             if problem.trivial:
                 raise Stop("trivial")
             n_t = int(problem.unit_scores.argmax())
             gamma = 1.0
-            w[n_t] = scale[n_t]
+            w[n_t] = sigma / norms[n_t]
             Lw = sigma * U[n_t]
-            gap = float(Lw @ L)
-            scan.move(n_t, 0.0, sigma)
+            gap = float(Lw.dot(L))
         else:
             resid = L - Lw
-            if (np.sqrt(resid @ resid) <= floor_resid
-                    and relative_error(problem, WeightVector.from_dense(w)) <= floor_err):
+            if (np.sqrt(resid.dot(resid)) <= floor_resid
+                    and relative_error(problem, WeightVector._positive(w)) <= floor_err):
                 raise Stop("float floor")
-            n_t = int(np.subtract(target_scores, scan.of(Lw), out=scores).argmax())
+            n_t = int(np.subtract(target_scores, scan.of(Lw), out=scan.buffers[0]).argmax())
             vertex = sigma * U[n_t]
             direction = vertex - Lw
-            denom = float(direction @ direction)
+            denom = float(direction.dot(direction))
             # fixed, not the floor: on sigma's scale already, it guards a zero division
             if denom <= (ZERO_TOL_COEFF * sigma) ** 2:
                 raise Stop("degenerate line search")
-            gap = float(direction @ resid)
+            gap = float(direction.dot(resid))
             gamma = min(max(gap / denom, 0.0), 1.0)
             w *= 1.0 - gamma
-            w[n_t] += gamma * scale[n_t]
+            w[n_t] += gamma * (sigma / norms[n_t])
             Lw *= 1.0 - gamma
             Lw += gamma * vertex
+        if t < M:           # the carrier and target scores serve the next steps' scans only
+            if t == 1:
+                scan = Projections(problem)                                 # of U @ L(w_t)
+                target_scores = problem.target_norm * problem.unit_scores   # <ell_n, L>
             scan.move(n_t, 1.0 - gamma, gamma * sigma)
         return Step(n_t, gamma, gap)
 
-    return iterate(step, lambda: WeightVector.from_dense(w), M, checkpoints)
+    return iterate(step, lambda: WeightVector._positive(w), M, checkpoints)
 
 
 def sampling_sweep(problem: CoresetProblem, grid, seed,
@@ -127,19 +127,19 @@ def sampling_sweep(problem: CoresetProblem, grid, seed,
     if not grid or any(m < 1 or m % 1 for m in grid):
         raise ValueError("grid budgets must be >= 1 and integral")
     grid = [int(m) for m in grid]
-    if problem.n == 0:
+    n = problem.n
+    if n == 0:
         return {m: WeightVector.empty() for m in grid}
     rng = np.random.default_rng(seed)
     if method == "IS":
-        probs = problem.norms / problem.sigma_total
-        draws = rng.choice(problem.n, size=grid[-1], p=probs)
-        per_draw = problem.sigma_total / problem.norms
+        draws = rng.choice(n, size=grid[-1], p=problem.norms / problem.sigma_total)
     else:
-        draws = rng.integers(0, problem.n, size=grid[-1])
-        per_draw = np.full(problem.n, float(problem.n))
+        draws = rng.integers(0, n, size=grid[-1])
 
-    def weights(m):     # counts > 0 and per_draw >= 1, so each value is positive and finite
-        counts = np.bincount(draws[:m], minlength=problem.n)
+    def weights(m):     # counts > 0 and a draw weighs >= 1, so each value is positive and finite
+        counts = np.bincount(draws[:m], minlength=n)
         idx = counts.nonzero()[0]
-        return WeightVector._unchecked(idx, counts[idx] * per_draw[idx] / m)
+        # each drawn row's weight per draw: sigma / sigma_n for IS, N for RND
+        per_draw = problem.sigma_total / problem.norms[idx] if method == "IS" else float(n)
+        return WeightVector._unchecked(idx, counts[idx] * per_draw / m)
     return {m: weights(m) for m in grid}

@@ -114,7 +114,7 @@ def initial_state(problem: CoresetProblem) -> GigaState:
     """The run's state at w = 0, where the residual is ell itself."""
     return GigaState(t=0, weights=np.zeros(problem.n),
                      ell_w=np.zeros(problem.dimension), alignment=0.0,
-                     J=float(problem.unit_target @ problem.unit_target),
+                     J=float(problem.unit_target.dot(problem.unit_target)),
                      scan=Projections(problem))
 
 
@@ -136,18 +136,24 @@ def select(problem: CoresetProblem, state: GigaState) -> tuple[int, float]:
     exceeds 1. When every 1 - <ell_n, ell(w)>^2 is above zero_tol(d)^2,
     the scan takes no mask either and scores in nine N-length passes: three
     for the numerator, two for the denominator, an argmin for that bound,
-    the square root, the quotient and the argmax.
+    the square root, the quotient and the argmax. At t = 0, where w = 0
+    (``initial_state``), the projections are 0, the numerator is
+    unit_scores / sqrt(J_0) and the denominator 1, so the scan scores in
+    two passes, that quotient and the argmax.
     """
     resid_norm = math.sqrt(state.J)
     if resid_norm <= problem.floor:
         raise Stop("converged")
 
-    proj = state.scan.of(state.ell_w)
     num, scores = state.scan.buffers
-    np.multiply(state.alignment, proj, out=num)
-    np.subtract(problem.unit_scores, num, out=num)
-    num /= resid_norm
-    _quotients(num, proj, problem.dimension, scores)
+    if state.t == 0:        # w = 0: the scores below reduce to this quotient, bit for bit
+        np.divide(problem.unit_scores, resid_norm, out=scores)
+    else:
+        proj = state.scan.of(state.ell_w)
+        np.multiply(state.alignment, proj, out=num)
+        np.subtract(problem.unit_scores, num, out=num)
+        num /= resid_norm
+        _quotients(num, proj, problem.dimension, scores)
     n_t = int(scores.argmax())          # ties break to the lowest index
     if scores[n_t] > 1.0:               # clamped, ties at 1 go to the lowest index
         np.minimum(scores, 1.0, out=scores)
@@ -167,9 +173,9 @@ def step_size(problem: CoresetProblem, state: GigaState, n_t: int) -> float:
     so clamping beyond CLAMP_WARN_TOL triggers a numerical warning. A
     vanishing denominator (coincident points) raises Stop("degenerate step").
     """
-    z0 = float(problem.unit_vectors[n_t] @ problem.unit_target)
+    z0 = float(problem.unit_vectors[n_t].dot(problem.unit_target))
     z1 = state.alignment
-    z2 = float(problem.unit_vectors[n_t] @ state.ell_w)
+    z2 = float(problem.unit_vectors[n_t].dot(state.ell_w))
     a = z0 - z1 * z2
     b = z1 - z0 * z2
     denom = a + b
@@ -194,11 +200,18 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     The carried projections follow the same move. Weights and the iterate
     never depend on them.
     """
+    state.scan.move(n_t, *_advance(problem, state, n_t, gamma))
+
+
+def _advance(problem: CoresetProblem, state: GigaState, n_t: int,
+             gamma: float) -> tuple[float, float]:
+    """``update`` but for the carrier: returns the move (a, b) that takes
+    its projections to the new iterate, ``a * ell(w_t) + b * ell_{n_t}``."""
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"step size {gamma} outside [0, 1]")
     direction = (1.0 - gamma) * state.ell_w
     direction += gamma * problem.unit_vectors[n_t]
-    nrm = math.sqrt(direction @ direction)
+    nrm = math.sqrt(direction.dot(direction))
     if nrm <= zero_tol(problem.dimension):
         raise RuntimeError("collapsed iterate")
 
@@ -208,12 +221,12 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     direction /= nrm
     state.ell_w = direction
     state.t += 1
-    state.scan.move(n_t, a, b)
 
-    state.alignment = float(state.ell_w @ problem.unit_target)
+    state.alignment = float(state.ell_w.dot(problem.unit_target))
     resid = state.alignment * state.ell_w
     np.subtract(problem.unit_target, resid, out=resid)
-    state.J = float(resid @ resid)
+    state.J = float(resid.dot(resid))
+    return a, b
 
 
 def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
@@ -225,7 +238,7 @@ def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
     """
     factor = problem.target_norm * max(0.0, state.alignment)
     dense = state.weights * (factor / problem.norms)
-    return WeightVector.from_dense(dense)
+    return WeightVector._positive(dense)
 
 
 def run(problem: CoresetProblem, M: int, *,
@@ -247,7 +260,10 @@ def run(problem: CoresetProblem, M: int, *,
             raise Stop("trivial")
         n_t, score = select(problem, state)
         gamma = step_size(problem, state, n_t)
-        update(problem, state, n_t, gamma)
+        if t < M:
+            update(problem, state, n_t, gamma)
+        else:               # no scan reads the carrier after the last step
+            _advance(problem, state, n_t, gamma)
         return Step(n_t, gamma, score, math.sqrt(state.J))
 
     return iterate(step, lambda: finalize(problem, state), M, checkpoints)

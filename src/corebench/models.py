@@ -266,13 +266,19 @@ def gaussian_embed(data: GaussianMeanData) -> CoresetProblem:
     return build_problem(vectors)
 
 
+def posterior_variance(total_weight: float) -> float:
+    """Variance 1 / (1+W) of the Gaussian-mean posterior under weights of
+    total W; it reads no observation, so no index map either."""
+    return 1.0 / (1.0 + total_weight)
+
+
 def coreset_posterior_variance(data: GaussianMeanData,
                                w: WeightVector) -> tuple[float, float]:
     """Closed-form weighted posterior N(sum w_n y_n / (1+W), 1 / (1+W)) for
     weights w over the observations (input rows, see ``to_original``)."""
     wsum = w.total()
     wy = float(w.values @ data.y[w.indices])
-    return wy / (1.0 + wsum), 1.0 / (1.0 + wsum)
+    return wy / (1.0 + wsum), posterior_variance(wsum)
 
 
 def project(model: str, data, lap: LaplaceApprox, S: int, seed: int) -> CoresetProblem:

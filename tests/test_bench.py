@@ -17,18 +17,32 @@ from corebench.bench import (
     EXPERIMENTS,
     DataError,
     ExperimentSpec,
+    ResultRow,
     _construction_rows,
     _gauss_trial,
+    _stream,
+    _stream_seed,
     load_csv,
     log_grid,
     run_experiment,
     synth_regression_data,
     write_csv,
 )
-from corebench import cli
+from corebench import baselines, cli, giga
 from corebench.cli import build_parser, main, parse
 from corebench.hilbert import WeightVector, build_problem, relative_error
-from corebench.models import REGRESSION_MODELS, laplace, project
+from corebench.models import (
+    REGRESSION_MODELS,
+    GaussianMeanData,
+    coreset_posterior_variance,
+    gaussian_embed,
+    laplace,
+    project,
+)
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
 
 
 def csv_text(rows) -> str:
@@ -138,6 +152,44 @@ class TestSynthGauss:
         assert rows[0].rel_error == pytest.approx(0.0, abs=1e-9)
         assert rows[0].extra == pytest.approx(0.0, abs=1e-9)
 
+    def test_extra_is_the_variance_error_of_the_input_row_posterior(self, rng):
+        # extra reads the variance from the total weight alone; the closed-form
+        # posterior over input rows gives the same bits
+        def reference(y, weights):
+            data = GaussianMeanData(y)
+            problem = gaussian_embed(data)
+            v_exact = 1.0 / (data.n + 1)
+            _, v = coreset_posterior_variance(data, problem.to_original(weights))
+            return abs(v - v_exact) / v_exact
+
+        for _ in range(200):
+            y = rng.normal(rng.normal(), rng.uniform(0.1, 10.0), size=rng.integers(1, 30))
+            problem, extra = _gauss_trial(y)
+            support = rng.permutation(problem.n)[:rng.integers(0, problem.n + 1)]
+            weights = WeightVector(np.sort(support), rng.exponential(size=support.size) * 3)
+            assert bits(extra(weights)) == bits(reference(y, weights))
+
+        # every row of a run: the weights of each algorithm at each budget, rebuilt
+        s = spec(experiment="synth-gauss", n=12, m_max=8, trials=25, seed=4)
+        rows = run_experiment(s)
+        grid = log_grid(s.m_max)
+        checked = 0
+        for trial in range(s.trials):
+            draw = _stream(s.seed, trial, 0)
+            mu = draw.normal()
+            y = draw.normal(mu, 1.0, size=s.n)
+            problem = gaussian_embed(GaussianMeanData(y))
+            weights = {alg: construct(problem, grid[-1], checkpoints=grid)[1].snapshots
+                       for alg, construct in (("giga", giga.run), ("fw", baselines.fw_coreset))}
+            for alg, purpose in (("is", 1), ("rnd", 2)):
+                weights[alg] = baselines.sampling_sweep(
+                    problem, grid, _stream_seed(s.seed, trial, purpose), alg.upper())
+            for r in rows[trial * len(ALGORITHMS) * len(grid):][:len(ALGORITHMS) * len(grid)]:
+                assert r.trial == trial
+                assert bits(r.extra) == bits(reference(y, weights[r.algorithm][r.M]))
+                checked += 1
+        assert checked == len(rows) == s.trials * len(ALGORITHMS) * len(grid)
+
     def test_rnd_rows_deterministic(self):
         s = spec(experiment="synth-gauss", n=10, m_max=1, trials=2,
                  algorithms=("rnd",))
@@ -214,6 +266,42 @@ class TestCsvOutput:
         assert len(parsed) == len(rows) + 1
         # round-trippable floats
         assert float(parsed[1][3]) == rows[0].rel_error
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["StringIO", "file"])
+    def test_bytes_are_those_of_the_csv_writer(self, tmp_path, to_file):
+        # every field is an int, an algorithm name, a float repr or empty, so
+        # the hand-joined lines are the excel dialect's, quoting included
+        floats = [0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, 1.7976931348623157e308, 1e-05,
+                  123456789.123, float("inf"), float("nan")]
+        cpu = 0.00012345678901234567            # a many-digit repr
+        rows = [ResultRow(trial, alg, m, rel, m + 3, cpu, extra)
+                for trial, (alg, m, rel) in enumerate(
+                    (alg, m, rel) for alg in ALGORITHMS for m in (1, 1000) for rel in floats)
+                for extra in (None, floats[trial % len(floats)])]
+
+        def written(write, path):
+            if not to_file:
+                out = io.StringIO()
+                write(out)
+                return out.getvalue().encode()
+            with open(path, "w", newline="") as out:
+                write(out)
+            return path.read_bytes()
+
+        def by_csv_writer(out):
+            writer = csv.writer(out)
+            writer.writerow(CSV_COLUMNS)
+            for r in rows:
+                writer.writerow((r.trial, r.algorithm, r.M, repr(r.rel_error), r.size,
+                                 repr(r.cpu_seconds), "" if r.extra is None else repr(r.extra)))
+
+        expected = written(by_csv_writer, tmp_path / "writer.csv")
+        assert written(lambda out: write_csv(rows, out), tmp_path / "rows.csv") == expected
+        assert expected.count(b"\r\n") == len(rows) + 1 and b'"' not in expected
+        for text in (b",inf,", b",nan,", b",-0.0,", b",0.00012345678901234567,", b",\r\n"):
+            assert text in expected
+        assert written(lambda out: write_csv([], out), tmp_path / "empty.csv") == \
+            b"trial,algorithm,M,rel_error,size,cpu_seconds,extra\r\n"
 
     def test_deterministic_modulo_timing(self):
         s = spec(trials=2)

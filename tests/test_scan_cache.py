@@ -9,7 +9,8 @@ cache has room, also in a step that recomputed the projections. GIGA
 scores in the carrier's buffers: its scores and picks are checked bit for
 bit against the allocating expression they replace, on both sides of the
 bound below which a row is masked and with winners above 1, and a step
-without a product against an allocation budget.
+without a product against an allocation budget. A run skips the move after
+its last step, so a run of M steps is checked as the start of a longer one.
 """
 
 import copy
@@ -30,7 +31,7 @@ from corebench.hilbert import (
     zero_tol,
 )
 
-from conftest import rows, traced_peak
+from conftest import random_problem, rows, traced_peak
 
 MARGIN = 1e-9
 STEPS = 3 * RENORM_INTERVAL
@@ -484,3 +485,35 @@ def test_unmasked_step_without_a_product_allocates_no_mask():
     peaks = [peak for peak, unmasked in product_free_step_peaks(p) if unmasked]
     assert len(peaks) >= 2
     assert max(peaks) < p.n
+
+
+def step_bits(step):
+    return (step.n_t, bits(step.gamma).tobytes(), bits(step.score).tobytes(),
+            None if step.residual is None else bits(step.residual).tobytes())
+
+
+def weight_bits(w):
+    return w.indices.tobytes(), bits(w.values).tobytes()
+
+
+@pytest.mark.parametrize("construct", [giga.run, baselines.fw_coreset], ids=["giga", "fw"])
+def test_run_is_the_prefix_of_a_longer_run(rng, construct):
+    # a run's last step skips the carrier's move, which only a further scan
+    # would read: a run of M steps is, bit for bit, the start of a longer one
+    stops = longest = 0
+    for i in range(40):
+        p = random_problem(rng, max_n=4 if i % 2 else 40, max_dim=3 if i % 2 else 8)
+        for M in range(1, 6):
+            short_final, short = construct(p, M, checkpoints=range(1, M + 1))
+            for k in range(1, 4):
+                _, long = construct(p, M + k, checkpoints=range(1, M + k + 1))
+                assert ([step_bits(s) for s in short.traces]
+                        == [step_bits(s) for s in long.traces[:M]])
+                for m in range(1, M + 1):
+                    assert weight_bits(short.snapshots[m]) == weight_bits(long.snapshots[m])
+                if len(long.traces) < M:                # the longer run stopped within M
+                    assert short.stop_reason == long.stop_reason is not None
+                    stops += 1
+            assert weight_bits(short_final) == weight_bits(short.snapshots[M])
+            longest = max(longest, len(short.traces))
+    assert stops >= 20 and longest == 5
