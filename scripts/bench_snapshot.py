@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Write a snapshot of the benchmark to ``BENCH_<LABEL>.json``.
 
-Usage: python3 scripts/bench_snapshot.py LABEL [--checkout DIR]
+Usage: python3 scripts/bench_snapshot.py LABEL
 
-Runs ``perfbench/run.py`` of the checkout DIR (default: this one) on each
-workload, once untraced and once traced, with seed 0 and the run length
-``run_seconds`` of ``BENCHMARK.json``, and writes ``BENCH_<LABEL>.json`` at
-the root of this checkout. Per workload the file holds:
+Runs this checkout's ``perfbench/run.py`` on each workload, once untraced
+and once traced, with seed 0 and the run length ``run_seconds`` of
+``BENCHMARK.json``, and writes ``BENCH_<LABEL>.json`` at the root of this
+checkout. Per workload the file holds:
 
 * the six end-to-end medians, each with the quartiles of its repeats;
 * the per-layer table of the traced run, with the same quartiles;
@@ -17,7 +17,7 @@ The run metadata (git sha, Python, numpy, scipy, BLAS, nproc) and the
 command line go at the top. ``giga_err`` and ``fw_err`` are medians over
 the pooled trials of all seed variants, not over repeats, so they have no
 quartiles. Every number comes from the record that ``run.py`` saves under
-the checkout's ``.perfbench/``.
+``.perfbench/``.
 """
 
 from __future__ import annotations
@@ -54,20 +54,20 @@ def table(result: dict, repeats: list[dict]) -> dict:
     return out
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     print("+ " + " ".join(argv[1:]), file=sys.stderr, flush=True)
-    subprocess.run(argv, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
-    record = checkout / ".perfbench" / f"{workload}-seed{seed}-trace{trace}.json"
+    subprocess.run(argv, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    record = ROOT / ".perfbench" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(record.read_text())
 
 
-def snapshot(label: str, checkout: Path, seed: int, seconds: int) -> dict:
+def snapshot(label: str, seed: int, seconds: int) -> dict:
     meta, workloads = None, {}
     for workload in WORKLOADS:
-        plain = run(checkout, workload, seed, seconds, 0)
-        traced = run(checkout, workload, seed, seconds, 1)
+        plain = run(workload, seed, seconds, 0)
+        traced = run(workload, seed, seconds, 1)
         meta = meta or plain["meta"]
         workloads[workload] = {
             "correct": plain["result"]["correct"] and traced["result"]["correct"],
@@ -93,13 +93,9 @@ def snapshot(label: str, checkout: Path, seed: int, seconds: int) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("label", help="names the output file BENCH_<LABEL>.json")
-    p.add_argument("--checkout", type=Path, default=ROOT,
-                   help="checkout whose perfbench/ and src/ are run (default: this one)")
     args = p.parse_args(argv)
-    if not (args.checkout / "perfbench" / "run.py").is_file():
-        p.error(f"no perfbench/run.py under {args.checkout}")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    data = snapshot(args.label, args.checkout.resolve(), SEED, seconds)
+    data = snapshot(args.label, SEED, seconds)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(data, indent=1) + "\n")
     print(out)

@@ -70,10 +70,11 @@ def fw_coreset(problem: CoresetProblem, M: int, *,
     floor_err = FLOOR_MULTIPLE * problem.floor
     floor_resid = FLOOR_MULTIPLE * EPS * sigma
     w = np.zeros(problem.n)
-    Lw = scan = target_scores = None
+    scan = Projections(problem)         # of U @ L(w_t)
+    Lw = target_scores = None
 
     def step(t):
-        nonlocal w, Lw, scan, target_scores
+        nonlocal w, Lw, target_scores
         if t == 1:
             if problem.trivial:
                 raise Stop("trivial")
@@ -87,6 +88,8 @@ def fw_coreset(problem: CoresetProblem, M: int, *,
             if (np.sqrt(resid.dot(resid)) <= floor_resid
                     and relative_error(problem, WeightVector._positive(w)) <= floor_err):
                 raise Stop("float floor")
+            if t == 2:
+                target_scores = problem.target_norm * problem.unit_scores   # <ell_n, L>
             n_t = int(np.subtract(target_scores, scan.of(Lw), out=scan.buffers[0]).argmax())
             vertex = sigma * U[n_t]
             direction = vertex - Lw
@@ -100,11 +103,7 @@ def fw_coreset(problem: CoresetProblem, M: int, *,
             w[n_t] += gamma * (sigma / norms[n_t])
             Lw *= 1.0 - gamma
             Lw += gamma * vertex
-        if t < M:           # the carrier and target scores serve the next steps' scans only
-            if t == 1:
-                scan = Projections(problem)                                 # of U @ L(w_t)
-                target_scores = problem.target_norm * problem.unit_scores   # <ell_n, L>
-            scan.move(n_t, 1.0 - gamma, gamma * sigma)
+        scan.move(n_t, 1.0 - gamma, gamma * sigma)
         return Step(n_t, gamma, gap)
 
     return iterate(step, lambda: WeightVector._positive(w), M, checkpoints)

@@ -20,7 +20,8 @@ The selection scan needs <ell_n, d_t> and <ell_n, ell(w_t)> for every n.
 Since d_t = (ell - <ell(w_t), ell> ell(w_t)) / ||.||, both follow from the
 constant scores U @ ell (``problem.unit_scores``) and the projections
 U @ ell(w_t), which the state's ``hilbert.Projections`` carrier holds from
-step to step (and resyncs on its own cadence).
+step to step (and resyncs on its own cadence). It applies each ``update``'s
+move at the next ``select``, so a run's last move is never computed.
 
 Each row scores <ell_n, d_t> / sqrt(1 - <ell_n, ell(w_t)>^2), and rows with
 1 - <ell_n, ell(w_t)>^2 at most zero_tol(d)^2 score 0 (``cap_objective``
@@ -99,8 +100,7 @@ class GigaState:
     """Iterate of a run after t steps: weights (normalized coordinates),
     cached unit iterate ell(w_t), its alignment <ell(w_t), ell>, the squared
     residual J_t = ||ell - alignment * ell(w_t)||^2 and the carrier of the
-    projections U @ ell(w_t). ``update`` advances it in place; a state built
-    away from x = 0 takes ``Projections(problem, zero=False)``."""
+    projections U @ ell(w_t). ``update`` advances it in place."""
 
     t: int
     weights: np.ndarray
@@ -197,16 +197,10 @@ def update(problem: CoresetProblem, state: GigaState, n_t: int, gamma: float) ->
     weights by the same norm, which keeps ell(w) on the unit sphere to
     rounding at every step with no further correction.
 
-    The carried projections follow the same move. Weights and the iterate
-    never depend on them.
+    The carried projections follow the same move, ``a * ell(w_t) + b *
+    ell_{n_t}``, which the carrier applies at the next scan. Weights and
+    the iterate never depend on them.
     """
-    state.scan.move(n_t, *_advance(problem, state, n_t, gamma))
-
-
-def _advance(problem: CoresetProblem, state: GigaState, n_t: int,
-             gamma: float) -> tuple[float, float]:
-    """``update`` but for the carrier: returns the move (a, b) that takes
-    its projections to the new iterate, ``a * ell(w_t) + b * ell_{n_t}``."""
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"step size {gamma} outside [0, 1]")
     direction = (1.0 - gamma) * state.ell_w
@@ -226,7 +220,7 @@ def _advance(problem: CoresetProblem, state: GigaState, n_t: int,
     resid = state.alignment * state.ell_w
     np.subtract(problem.unit_target, resid, out=resid)
     state.J = float(resid.dot(resid))
-    return a, b
+    state.scan.move(n_t, a, b)
 
 
 def finalize(problem: CoresetProblem, state: GigaState) -> WeightVector:
@@ -260,10 +254,7 @@ def run(problem: CoresetProblem, M: int, *,
             raise Stop("trivial")
         n_t, score = select(problem, state)
         gamma = step_size(problem, state, n_t)
-        if t < M:
-            update(problem, state, n_t, gamma)
-        else:               # no scan reads the carrier after the last step
-            _advance(problem, state, n_t, gamma)
+        update(problem, state, n_t, gamma)
         return Step(n_t, gamma, score, math.sqrt(state.J))
 
     return iterate(step, lambda: finalize(problem, state), M, checkpoints)

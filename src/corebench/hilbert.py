@@ -162,52 +162,59 @@ class Projections:
     """Projections ``U @ x`` of a greedy scan's iterate x, carried from step
     to step of one construction run (``U`` is ``problem.unit_vectors``).
 
-    Moving x to ``a * x + b * ell_n`` moves the values to
-    ``values * a + col * b`` with the Gram column ``col = U @ ell_n``: O(N)
-    instead of an N x d product. A move computes a missing column while
-    fewer than ``problem.dimension`` are cached, so the cache holds no more
-    floats than ``U``. Without its column, or on every RENORM_INTERVAL-th
-    move, a move drops the values and the next ``of`` recomputes them, so
-    rounding carried by the moves never outlives RENORM_INTERVAL steps. The
-    values start as those of x = 0, or dropped with ``zero=False``.
+    ``move`` records x <- ``a * x + b * ell_n``, and the next ``of`` applies
+    it (so a run's last move is never computed): the values become
+    ``values * a + col * b``, or ``col * b`` when a = 0, as at a run's first
+    move from x = 0, with the Gram column ``col = U @ ell_n``: O(N) instead
+    of an N x d product. A missing column is computed while fewer than
+    ``problem.dimension`` are cached, so the cache holds no more floats
+    than ``U``. The values start dropped, and a move without its column,
+    every RENORM_INTERVAL-th move and moves pending together drop them;
+    ``of`` then recomputes them, so rounding carried by the moves never
+    outlives RENORM_INTERVAL steps.
 
-    A move updates the values in place, so the array ``of`` returns is
-    overwritten by the next ``move``. The carrier also holds two N-float
-    work buffers, ``buffers``, for its caller's scan; ``move`` overwrites
-    the first.
+    The array ``of`` returns may be overwritten by the next ``of``. The
+    carrier also holds two N-float work buffers, ``buffers``, for its
+    caller's scan; ``of`` overwrites the first when it applies a move.
     """
 
-    def __init__(self, problem: CoresetProblem, zero: bool = True):
+    def __init__(self, problem: CoresetProblem):
         self._unit = problem.unit_vectors
         self._capacity = problem.dimension
         self._columns: dict[int, np.ndarray] = {}
-        self._values = np.zeros(problem.n) if zero else None
+        self._values = None
         self._moves = 0
+        self._pending: list[tuple[int, float, float]] = []
         self.buffers = (np.empty(problem.n), np.empty(problem.n))
 
     def __len__(self) -> int:
         return len(self._columns)
 
     def of(self, x: np.ndarray) -> np.ndarray:
-        """``U @ x``: the carried values, or one product if they were dropped."""
+        """``U @ x`` after the pending moves: the carried values, or one
+        product if they were dropped."""
+        for n, a, b in self._pending:
+            col = self._columns.get(n)
+            if col is None and len(self._columns) < self._capacity:
+                col = self._columns[n] = self._unit @ self._unit[n]
+            self._moves += 1
+            if col is None or self._moves % RENORM_INTERVAL == 0 or len(self._pending) > 1:
+                self._values = None
+            elif a == 0:
+                self._values = col * b
+            elif self._values is not None:
+                work = self.buffers[0]
+                self._values *= a
+                np.multiply(col, b, out=work)
+                self._values += work
+        self._pending.clear()
         if self._values is None:
             self._values = self._unit @ x
         return self._values
 
     def move(self, n: int, a: float, b: float) -> None:
-        """Follow ``x <- a * x + b * ell_n``; column n is computed if it is
-        not cached and the cache has room."""
-        col = self._columns.get(n)
-        if col is None and len(self._columns) < self._capacity:
-            col = self._columns[n] = self._unit @ self._unit[n]
-        self._moves += 1
-        if col is None or self._moves % RENORM_INTERVAL == 0 or self._values is None:
-            self._values = None
-        else:
-            work = self.buffers[0]
-            self._values *= a
-            np.multiply(col, b, out=work)
-            self._values += work
+        """Record ``x <- a * x + b * ell_n`` for the next ``of``."""
+        self._pending.append((n, a, b))
 
 
 class Stop(Exception):
@@ -280,7 +287,8 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
         run.traces.append(record)
         if t in cps:
             run.snapshots[t] = snapshot()
-            t_start += time.thread_time() - now
+            if t < M:       # only a further step reads the clock
+                t_start += time.thread_time() - now
     done = len(run.times)
     final = run.snapshots[done] if done in run.snapshots else snapshot()
     for m in cps:

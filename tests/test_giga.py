@@ -39,7 +39,7 @@ def two_orth_state_after_first_pick():
         ell_w=np.array([1.0, 0.0]),
         alignment=float(ell[0]),
         J=1.0 - float(ell[0]) ** 2,
-        scan=Projections(p, zero=False),
+        scan=Projections(p),
     )
 
 
@@ -68,7 +68,7 @@ class TestSelect:
         p = build_problem([(2.0, 0.0)])
         state = GigaState(t=1, weights=np.array([1.0]),
                           ell_w=np.array([1.0, 0.0]), alignment=1.0, J=0.0,
-                          scan=Projections(p, zero=False))
+                          scan=Projections(p))
         with pytest.raises(Stop, match="converged"):
             select(p, state)
 
@@ -177,7 +177,7 @@ class TestUpdate:
         p = build_problem([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])
         state = GigaState(t=1, weights=np.array([1.0, 0.0, 0.0]),
                           ell_w=np.array([1.0, 0.0]),
-                          alignment=0.0, J=1.0, scan=Projections(p, zero=False))
+                          alignment=0.0, J=1.0, scan=Projections(p))
         with pytest.raises(RuntimeError, match="collapsed iterate"):
             update(p, state, 1, 0.5)
 

@@ -1,5 +1,6 @@
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as nps
 
+from corebench import hilbert
 from corebench.baselines import fw_coreset, sampling_sweep
 from corebench.giga import run as giga_run
 from corebench.hilbert import (
@@ -368,6 +370,27 @@ class TestIterate:
         _, run = iterate(lambda t: Step(t, 1.0, 0.5), burn, 2, checkpoints=[1])
         assert run.snapshots == {1: "w"}
         assert run.times[1] - run.times[0] < 0.005
+
+    def test_clock_is_read_twice_a_step_with_every_step_a_checkpoint(self, monkeypatch):
+        # a stand-in clock that each step advances by 1 and each snapshot by
+        # 100: the times count the steps alone, and no read follows the last
+        clock = {"now": 0.0, "reads": 0}
+
+        def thread_time():
+            clock["reads"] += 1
+            return clock["now"]
+
+        def advance(by, result):
+            clock["now"] += by
+            return result
+
+        monkeypatch.setattr(hilbert, "time", types.SimpleNamespace(thread_time=thread_time))
+        for M in range(1, 6):
+            clock["reads"] = 0
+            _, run = iterate(lambda t: advance(1.0, Step(t, 1.0, 0.5)),
+                             lambda: advance(100.0, "w"), M, checkpoints=range(1, M + 1))
+            assert clock["reads"] == 2 * M
+            assert run.times == [float(t) for t in range(1, M + 1)]
 
     @pytest.mark.parametrize("construct", [giga_run, fw_coreset], ids=["giga", "fw"])
     def test_trivial_problem_takes_no_step(self, construct):

@@ -4,13 +4,15 @@ GIGA and FW pick each point from projections U @ x of their iterate that a
 ``hilbert.Projections`` carrier moves with cached columns U @ ell_n instead
 of recomputing them. These tests check the picks against reference loops
 that recompute every product from scratch, that the column cache stays
-within its cap, and that a move computes a missing column whenever the
-cache has room, also in a step that recomputed the projections. GIGA
+within its cap, and that applying a move computes a missing column whenever
+the cache has room, also in a step that recomputed the projections. GIGA
 scores in the carrier's buffers: its scores and picks are checked bit for
 bit against the allocating expression they replace, on both sides of the
 bound below which a row is masked and with winners above 1, and a step
-without a product against an allocation budget. A run skips the move after
-its last step, so a run of M steps is checked as the start of a longer one.
+without a product against an allocation budget. The carrier applies each
+move at the next scan: it is checked against a carrier that applies moves at
+once, a one-step run is checked to take no product, and a run of M steps,
+whose last move is never applied, is checked as the start of a longer one.
 """
 
 import copy
@@ -68,7 +70,7 @@ def reference_giga_picks(problem, M):
     """
     state = giga.GigaState(t=0, weights=np.zeros(problem.n),
                            ell_w=np.zeros(problem.dimension), alignment=0.0, J=1.0,
-                           scan=Projections(problem, zero=False))
+                           scan=Projections(problem))
     picks = []
     for _ in range(M):
         resid = problem.unit_target - state.alignment * state.ell_w
@@ -141,19 +143,20 @@ def counted(problem):
 
 
 class RecordingProjections(Projections):
-    """Projections that record the largest number of cached columns.
-    ``instances`` lists every carrier made."""
+    """Projections that record the largest number of cached columns, as
+    seen by each scan. ``instances`` lists every carrier made."""
 
     instances: list = []
 
-    def __init__(self, problem, zero=True):
-        super().__init__(problem, zero)
+    def __init__(self, problem):
+        super().__init__(problem)
         self.peak = 0
         self.instances.append(self)
 
-    def move(self, n, a, b):
-        super().move(n, a, b)
+    def of(self, x):
+        values = super().of(x)
         self.peak = max(self.peak, len(self))
+        return values
 
 
 @pytest.fixture
@@ -197,11 +200,11 @@ def test_cache_holds_at_most_dimension_columns():
     U = p.unit_vectors
     scan = Projections(p)
     for n in range(p.n):
-        scan.move(n, 0.0, 1.0)                     # x <- ell_n
-        assert len(scan) == min(n + 1, p.dimension)
-        assert U.products == (n < p.dimension)     # the column, while there is room
+        scan.move(n, 0.0, 1.0)                     # x <- ell_n, applied by of
         np.testing.assert_array_equal(scan.of(U[n]), U.rows @ U[n])
-        assert U.products == 1                     # past the cap, of recomputes
+        # one product: the column while there is room, past the cap the recompute
+        assert len(scan) == min(n + 1, p.dimension)
+        assert U.products == 1
         U.products = 0
     scan.move(1, 0.0, 1.0)                         # cached rows stay available
     scan.of(U[1])
@@ -209,33 +212,103 @@ def test_cache_holds_at_most_dimension_columns():
 
 
 def test_carrier_resyncs_itself_every_renorm_interval_moves():
-    # every column is cached after the first p.n moves, so a product in `of`
-    # is a resync, and nothing but the move count asks for one
+    # every column is cached by the first p.n moves, so any other product in
+    # `of` is a resync, and nothing but the move count asks for one
     p = counted(build_problem(np.random.default_rng(2).normal(size=(6, 8))))
     U = p.unit_vectors
     scan = Projections(p)
     x = np.zeros(p.dimension)
+    scan.of(x)                                     # values start dropped
     for move in range(1, 3 * RENORM_INTERVAL + 1):
         n = move % p.n
         scan.move(n, 0.9, 0.1)
         x = 0.9 * x + 0.1 * U[n]
         U.products = 0
         np.testing.assert_allclose(scan.of(x), U.rows @ x, rtol=0, atol=1e-14)
-        assert U.products == (move % RENORM_INTERVAL == 0), move
+        assert U.products == (move <= p.n) + (move % RENORM_INTERVAL == 0), move
     assert len(scan) == p.n
 
 
 def test_step_with_a_projection_also_computes_its_column():
     p = counted(build_problem(np.random.default_rng(1).normal(size=(20, 5))))
     U = p.unit_vectors
-    scan = Projections(p, zero=False)
+    scan = Projections(p)
     x = U[3]
     np.testing.assert_array_equal(scan.of(x), U.rows @ x)
     scan.move(0, 0.5, 0.5)                         # the cache has room
-    assert len(scan) == 1 and U.products == 2
     x = 0.5 * x + 0.5 * U[0]
     np.testing.assert_allclose(scan.of(x), U.rows @ x, rtol=0, atol=1e-14)
-    assert U.products == 2                         # carried, not recomputed
+    assert len(scan) == 1 and U.products == 2      # the column, not a recompute
+
+
+class EagerProjections:
+    """A reference carrier that applies each move at once, by
+    ``values *= a; values += col * b``, with the drop rules of
+    ``Projections``: a missing column, every RENORM_INTERVAL-th move, and
+    moves with no ``of`` between. Its values start at those of x = 0, so a
+    move with a = 0 always has values to scale to 0."""
+
+    def __init__(self, problem):
+        self.unit = problem.unit_vectors
+        self.capacity = problem.dimension
+        self.columns = {}
+        self.values = np.zeros(problem.n)
+        self.moves = 0
+        self.read = True
+
+    def of(self, x):
+        self.read = True
+        if self.values is None:
+            self.values = self.unit @ x
+        return self.values
+
+    def move(self, n, a, b):
+        if n not in self.columns and len(self.columns) < self.capacity:
+            self.columns[n] = self.unit @ self.unit[n]
+        self.moves += 1
+        if n not in self.columns or self.moves % RENORM_INTERVAL == 0 or not self.read:
+            self.values = None
+        else:           # values dropped before are recomputed by the of that read them
+            self.values *= a
+            self.values += self.columns[n] * b
+        self.read = False
+
+
+def test_deferred_moves_match_an_eager_carrier(rng):
+    cases = {"a = 0 mid-run": 0, "recomputed": 0, "carried": 0, "unread move": 0}
+    for _ in range(12):
+        p = tall_problem(rng)
+        deferred_p, eager_p = counted(p), counted(p)
+        deferred, eager = Projections(deferred_p), EagerProjections(eager_p)
+        x = np.zeros(p.dimension)
+        read = True
+        for move in range(1, 2 * RENORM_INTERVAL + 40):
+            # a few rows often, and more distinct rows than the cache holds
+            n = int(rng.integers(3) if rng.random() < 0.5 else rng.integers(p.n))
+            a = 0.0 if move == 1 or rng.random() < 0.05 else float(rng.uniform(0.5, 1.0))
+            b = float(rng.uniform(-1.0, 1.0))
+            cases["a = 0 mid-run"] += a == 0 and move > 1
+            cases["unread move"] += not read
+            deferred.move(n, a, b)
+            eager.move(n, a, b)
+            x = a * x + b * p.unit_vectors[n]
+            read = rng.random() < 0.85
+            if read:
+                cases["recomputed" if eager.values is None else "carried"] += 1
+                np.testing.assert_array_equal(deferred.of(x), eager.of(x))   # -0.0 == 0.0
+                assert deferred_p.unit_vectors.products == eager_p.unit_vectors.products
+        assert len(deferred) == len(eager.columns) == p.dimension
+    assert min(cases.values()) >= 10, cases
+
+
+@pytest.mark.parametrize("construct", [giga.run, baselines.fw_coreset], ids=["giga", "fw"])
+def test_one_step_run_takes_no_product(rng, carriers, construct):
+    # no scan follows the one step, so its move is never applied
+    for _ in range(10):
+        p = counted(tall_problem(rng))
+        _, diag = construct(p, 1)
+        assert len(diag.traces) == 1
+        assert p.unit_vectors.products == 0 and len(carriers[-1]) == 0
 
 
 def test_hand_built_state_away_from_zero_recomputes_projections():
@@ -244,7 +317,7 @@ def test_hand_built_state_away_from_zero_recomputes_projections():
     for _ in range(5):
         n_t, _ = giga.select(p, state)
         giga.update(p, state, n_t, giga.step_size(p, state, n_t))
-    hand = dataclasses.replace(state, scan=Projections(p, zero=False))
+    hand = dataclasses.replace(state, scan=Projections(p))
     assert giga.select(p, hand)[0] == giga.select(p, state)[0]
     np.testing.assert_allclose(hand.scan.of(hand.ell_w), p.unit_vectors @ state.ell_w,
                                rtol=0, atol=1e-14)
@@ -345,7 +418,7 @@ def test_giga_select_is_bit_equal_to_the_allocating_scan(rng):
             # a residual norm 1e3 times too small lifts many scores above 1,
             # where the clamp ties them at 1 and the lowest index wins
             shrunk = dataclasses.replace(state, J=state.J * 1e-6,
-                                         scan=Projections(p, zero=False))
+                                         scan=Projections(p))
             shrunk_expected = reference_select(p, shrunk, p.unit_vectors @ state.ell_w)
             assert select_or_stop(p, shrunk) == shrunk_expected
             ties += shrunk_expected is not None and shrunk_expected[1] == 1.0
@@ -401,7 +474,7 @@ def boundary_states(rng):
     for _ in range(5):
         n_t, _ = giga.select(p, state)
         giga.update(p, state, n_t, giga.step_size(p, state, n_t))
-    yield p, dataclasses.replace(state, J=state.J * 1e-6, scan=Projections(p, zero=False))
+    yield p, dataclasses.replace(state, J=state.J * 1e-6, scan=Projections(p))
     # 1 - zv^2 at zero_tol(d)^2 and one ulp of zv on either side. select reads
     # only unit_scores, floor and dimension of its problem; for any real d,
     # tol^2 ~ 1e-24 d lies below the 2^-53 steps of 1 - zv^2 near |zv| = 1,
@@ -498,8 +571,8 @@ def weight_bits(w):
 
 @pytest.mark.parametrize("construct", [giga.run, baselines.fw_coreset], ids=["giga", "fw"])
 def test_run_is_the_prefix_of_a_longer_run(rng, construct):
-    # a run's last step skips the carrier's move, which only a further scan
-    # would read: a run of M steps is, bit for bit, the start of a longer one
+    # only a further scan applies a run's last move: a run of M steps is,
+    # bit for bit, the start of a longer one
     stops = longest = 0
     for i in range(40):
         p = random_problem(rng, max_n=4 if i % 2 else 40, max_dim=3 if i % 2 else 8)
