@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, giga
-from .hilbert import CoresetProblem, WeightVector, build_problem, relative_error
+from .hilbert import CoresetProblem, WeightVector, _build_in_place, relative_error
 from .models import (
     REGRESSION_MODELS,
     GaussianMeanData,
@@ -143,9 +143,10 @@ def _checkpoint_time(times: list[float], m: int) -> float:
 
 def _construction_rows(spec: ExperimentSpec, trial: int, grid: list[int],
                        problem: CoresetProblem, extra_fn=None) -> list[ResultRow]:
-    """Run every requested algorithm over the budget grid and collect rows."""
+    """Run every requested algorithm over the budget grid and collect rows,
+    in the CSV's (algorithm, M) order."""
     rows = []
-    for alg in spec.algorithms:
+    for alg in sorted(spec.algorithms):
         if alg in ("giga", "fw"):
             construct = giga.run if alg == "giga" else baselines.fw_coreset
             _, diag = construct(problem, grid[-1], checkpoints=grid)
@@ -168,7 +169,7 @@ def _gauss_trial(y: np.ndarray):
     error of the coreset posterior variance as its ``extra`` column."""
     data = GaussianMeanData(y)
     problem = gaussian_embed(data)
-    v_exact = 1.0 / (data.n + 1)
+    v_exact = posterior_variance(data.n)
 
     def variance_error(weights: WeightVector) -> float:
         # the variance reads only the total weight, the same over problem or input rows
@@ -179,7 +180,7 @@ def _gauss_trial(y: np.ndarray):
 
 def ortho_problem(n: int) -> CoresetProblem:
     """Axis-aligned construction: L_n = (1/n) e_n, so sigma = 1, ||L|| = 1/sqrt(n)."""
-    return build_problem(np.eye(n) / n)
+    return _build_in_place(np.eye(n) / n)
 
 
 def synth_regression_data(model: str, n: int, rng: np.random.Generator) -> RegressionData:
@@ -229,7 +230,7 @@ def _trial_problems(spec: ExperimentSpec):
     def synthetic(trial):
         rng = _stream(spec.seed, trial, _STREAM_DATA)
         if spec.experiment == "synth-vectors":
-            return build_problem(rng.normal(size=(spec.n, spec.dim))), None
+            return _build_in_place(rng.normal(size=(spec.n, spec.dim))), None
         mu = rng.normal()            # drawn before y: the draw order fixes every row
         return _gauss_trial(rng.normal(mu, 1.0, size=spec.n))
     return synthetic
@@ -243,7 +244,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     for trial in range(spec.trials):
         # no name holds the problem, so one trial's problem is freed before the next is built
         rows += _construction_rows(spec, trial, grid, *trial_problem(trial))
-    rows.sort(key=lambda r: (r.trial, r.algorithm, r.M))
     return rows
 
 

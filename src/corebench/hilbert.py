@@ -218,12 +218,8 @@ class Projections:
 
 
 class Stop(Exception):
-    """Raised by a construction step to end the run before its budget;
-    ``reason`` is recorded as the run's stop reason."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Raised by a construction step to end the run before its budget; its
+    message is recorded as the run's stop reason."""
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,7 @@ def iterate(step, snapshot, M: int, checkpoints=None) -> tuple[object, Run]:
         try:
             record = step(t)
         except Stop as stop:
-            run.stop_reason = stop.reason
+            run.stop_reason = str(stop)
             break
         now = time.thread_time()
         run.times.append(now - t_start)
@@ -318,6 +314,7 @@ def _build_in_place(V: np.ndarray) -> CoresetProblem:
     """``build_problem`` without its copy: V, a C-ordered float64 array
     that no one else holds, becomes the problem's ``unit_vectors`` in place
     (or its kept rows do, when a row is dropped: a boolean index copies).
+    The package's own builders hand it the array they have just made.
     """
     if V.ndim == 1:
         V = V[None, :]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CoresetProblem, WeightVector, _as_float64, _build_in_place, build_problem
+from .hilbert import CoresetProblem, WeightVector, _as_float64, _build_in_place
 
 REGRESSION_MODELS = ("logistic", "poisson")
 MODELS = ("gaussian", *REGRESSION_MODELS)
@@ -262,8 +262,8 @@ def gaussian_embed(data: GaussianMeanData) -> CoresetProblem:
     n = data.n
     vectors = np.empty((n, 2))
     np.subtract(data.y, data.y.sum() / (n + 1), out=vectors[:, 0])     # y_n - mu_hat
-    vectors[:, 1] = math.sqrt(1.0 / (n + 1))                           # s_hat
-    return build_problem(vectors)
+    vectors[:, 1] = math.sqrt(posterior_variance(n))                   # s_hat
+    return _build_in_place(vectors)
 
 
 def posterior_variance(total_weight: float) -> float:

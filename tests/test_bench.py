@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import errno
+import functools
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -22,13 +24,15 @@ from corebench.bench import (
     _gauss_trial,
     _stream,
     _stream_seed,
+    _trial_problems,
     load_csv,
     log_grid,
+    ortho_problem,
     run_experiment,
     synth_regression_data,
     write_csv,
 )
-from corebench import baselines, cli, giga
+from corebench import baselines, bench, cli, giga, models
 from corebench.cli import build_parser, main, parse
 from corebench.hilbert import WeightVector, build_problem, relative_error
 from corebench.models import (
@@ -39,6 +43,8 @@ from corebench.models import (
     laplace,
     project,
 )
+
+from conftest import traced_peak
 
 
 def bits(x: float) -> bytes:
@@ -130,12 +136,97 @@ class TestRowsWellFormed:
         s = spec(algorithms=("giga", "fw"))
         rows = _construction_rows(s, 0, [1, 3], build_problem([(1.0, 0.0), (-1.0, 0.0)]))
         assert [(r.algorithm, r.M, r.size, r.cpu_seconds) for r in rows] == \
-            [("giga", 1, 0, 0.0), ("giga", 3, 0, 0.0), ("fw", 1, 0, 0.0), ("fw", 3, 0, 0.0)]
+            [("fw", 1, 0, 0.0), ("fw", 3, 0, 0.0), ("giga", 1, 0, 0.0), ("giga", 3, 0, 0.0)]
 
     def test_rows_sorted_by_trial_algorithm_m(self):
         rows = run_experiment(spec())
         keys = [(r.trial, r.algorithm, r.M) for r in rows]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("base", [
+        spec(),
+        spec(experiment="synth-gauss", n=10, m_max=1, trials=3),
+    ], ids=["synth-vectors", "synth-gauss"])
+    def test_order_of_algorithms_changes_no_field_but_cpu_time(self, base):
+        def untimed(algorithms):
+            rows = run_experiment(dataclasses.replace(base, algorithms=algorithms))
+            return [dataclasses.replace(r, cpu_seconds=0.0) for r in rows]
+
+        expected = untimed(ALGORITHMS)
+        for order in itertools.permutations(ALGORITHMS):
+            assert untimed(order) == expected, order
+
+    def test_constructions_run_in_csv_order(self, monkeypatch):
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(giga, "run", recorded("giga", giga.run))
+        monkeypatch.setattr(baselines, "fw_coreset", recorded("fw", baselines.fw_coreset))
+        sweep = baselines.sampling_sweep
+        monkeypatch.setattr(baselines, "sampling_sweep",
+                            lambda p, grid, seed, method: recorded(method.lower(), sweep)(
+                                p, grid, seed, method))
+        run_experiment(spec(algorithms=("rnd", "is", "giga", "fw"), trials=2))
+        assert calls == ["fw", "giga", "is", "rnd"] * 2
+
+
+def same_problem(a, b) -> bool:
+    """Whether two problems hold the same bits in every field."""
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            if value.shape != other.shape or value.tobytes() != other.tobytes():
+                return False
+        elif bits(value) != bits(other):
+            return False
+    return True
+
+
+class TestInternalBuilds:
+    """The package builds each problem in the array that first holds its
+    vectors, so a build holds no second copy of it, and gives the bits of
+    ``build_problem`` of the same vectors."""
+
+    # each entry makes its input outside the build, which it returns
+    BUILDS = {
+        "synth-vectors": lambda: lambda: _trial_problems(spec(n=2000, dim=50))(0)[0],
+        "ortho": lambda: lambda: ortho_problem(500),
+        "synth-gauss": lambda: functools.partial(
+            gaussian_embed, GaussianMeanData(np.random.default_rng(0).normal(size=100_000))),
+    }
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_peak_memory_is_one_array(self, name):
+        # the array, at most one row block of its norm pass (half of it
+        # for ortho's 500 rows) and the problem's per-row arrays; a second
+        # copy of the array would add one more of it
+        build = self.BUILDS[name]()
+        build()                 # a first call imports numpy.random
+        p, peak = traced_peak(build)
+        rest = sum(a.nbytes for a in vars(p).values()
+                   if isinstance(a, np.ndarray) and a is not p.unit_vectors)
+        assert peak < 1.6 * p.unit_vectors.nbytes + rest
+        assert peak < 2.6 * p.unit_vectors.nbytes
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_bits_of_build_problem(self, name, monkeypatch):
+        inputs = []
+        build_in_place = bench._build_in_place
+
+        def recorded(V):
+            inputs.append(V.copy())
+            return build_in_place(V)
+
+        monkeypatch.setattr(bench, "_build_in_place", recorded)
+        monkeypatch.setattr(models, "_build_in_place", recorded)
+        p = self.BUILDS[name]()()
+        assert len(inputs) == 1
+        assert same_problem(p, build_problem(inputs[0]))
 
 
 class TestSynthGauss:
